@@ -98,6 +98,10 @@ _CFG_FIELDS = (
     "lowpass_q",
     "target_hz",
     "jobs",
+    "tlag_min",
+    "tlag_max",
+    "calibration_bin_width",
+    "rolling_n",
 )
 
 

@@ -19,6 +19,10 @@ class ConfigError(ValueError):
     """Raised for malformed config files or inconsistent option values."""
 
 
+# the ensemble's t-interval needs two members; the others count things
+_LOWER_BOUNDS = (("n_members", 2), ("scales", 1), ("jobs", 1), ("rolling_n", 1), ("entropy_bins", 1))
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     # [preprocess]
@@ -64,6 +68,9 @@ class PipelineConfig:
             raise ConfigError("window_seconds must be positive")
         if self.tlag_min > self.tlag_max:
             raise ConfigError("tlag_min must not exceed tlag_max")
+        for name, least in _LOWER_BOUNDS:
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
 
 
 _SECTION_FIELDS = {

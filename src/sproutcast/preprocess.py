@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from datetime import date
 
 import numpy as np
-from scipy.signal import lfilter
 
 from sproutcast.ingest import Recording
 
@@ -83,6 +82,10 @@ def lowpass_coefficients(cutoff_hz: float, sample_rate_hz: float, q: float) -> t
 
 
 def _apply_biquad(signal: ConditionedSignal, b: np.ndarray, a: np.ndarray) -> ConditionedSignal:
+    # imported here: scipy.signal costs about a second to import, and only
+    # recordings off the target rate are ever filtered
+    from scipy.signal import lfilter
+
     filtered = lfilter(b, a, signal.samples)
     return replace(signal, samples=filtered)
 

@@ -2,7 +2,9 @@
 
 The regressor is self-contained: squared-error boosting over depth-limited
 CART trees with exact greedy split search (sorted unique values, midpoint
-thresholds, ties broken toward the lowest feature index).  Everything is
+thresholds, ties broken toward the lowest feature index).  Each fit sorts
+every feature column once, stably, so rows with equal values are ordered
+by row index; nodes reuse that order and never sort again.  Everything is
 deterministic given the RegressorSpec seed, and a trained model serializes
 to a single self-describing JSON file that reloads bit-identically.
 """
@@ -95,9 +97,147 @@ class Ensemble:
     n_features: int
 
 
-class _TreeBuilder:
-    def __init__(self, spec: RegressorSpec):
+# a node's rows in each column's sorted order, and the values there
+_Block = tuple[np.ndarray, np.ndarray]
+
+
+class _SplitSearch:
+    """Exact greedy split search over column blocks presorted once per fit.
+
+    Every feature column of the fit is argsorted once, stably, so a node's
+    rows appear in each column ordered by (value, row index).  A node keeps
+    that order, and the values in it, as a block of two flat (F, n_node)
+    arrays; its children take theirs by compressing the parent's block,
+    which keeps every column sorted without another sort.  Nodes write
+    their results into buffers allocated here, sized (F, n); block and row
+    buffers come one per depth level, so a node's block survives while its
+    left subtree is grown.
+    """
+
+    def __init__(self, x: np.ndarray, spec: RegressorSpec):
+        n, n_features = x.shape
         self.spec = spec
+        self.n_features = n_features
+        self.min_rows = max(2, 2 * spec.min_samples_leaf)
+        self.presort = np.argsort(x.T, axis=1, kind="stable")
+        self.sorted_values = np.take_along_axis(x.T, self.presort, axis=1)
+        self.residual = np.empty(n)
+        size = n_features * n
+        # level d holds the blocks and the ascending row lists of the nodes
+        # at depth d; rows[0] is every row of the fit
+        self.orders = [np.empty(size, dtype=np.intp) for _ in range(spec.max_depth)]
+        self.values = [np.empty(size) for _ in range(spec.max_depth)]
+        self.rows = [np.arange(n)] + [np.empty(n, dtype=np.intp) for _ in range(spec.max_depth)]
+        self.sums = np.empty(size)
+        self.cumsum = np.empty(size)
+        self.score = np.empty(size)
+        self.blocked = np.empty(size, dtype=bool)
+        self.in_left = np.empty(n, dtype=bool)
+        self.n_left = np.arange(1, n, dtype=np.float64)
+        self.n_right = np.empty(n - 1)
+
+    def searches(self, depth: int, n_rows: int) -> bool:
+        return depth < self.spec.max_depth and n_rows >= self.min_rows
+
+    def _select(self, mask: np.ndarray, block: _Block, depth: int, start: int, stop: int) -> _Block:
+        """Compress ``block`` by ``mask`` into rows [start, stop) of level ``depth``."""
+        span = slice(self.n_features * start, self.n_features * stop)
+        order, values = block
+        return (
+            order.compress(mask, out=self.orders[depth][span]),
+            values.compress(mask, out=self.values[depth][span]),
+        )
+
+    def root(self, rows: np.ndarray | None) -> tuple[np.ndarray, _Block | None]:
+        """Row list and block of a tree grown on ``rows`` (ascending; None = all)."""
+        block = (self.presort.ravel(), self.sorted_values.ravel())
+        if rows is None:
+            rows = self.rows[0]
+        elif self.searches(0, len(rows)):
+            in_sample = self.in_left
+            in_sample[:] = False
+            in_sample[rows] = True
+            mask = in_sample.take(block[0], out=self.blocked)
+            block = self._select(mask, block, 0, 0, len(rows))
+        return rows, block if self.searches(0, len(rows)) else None
+
+    def leaf_value(self, rows: np.ndarray) -> float:
+        r = self.residual.take(rows, out=self.sums[: len(rows)])
+        # the sum and the division of r.mean(), without its call overhead
+        return float(np.add.reduce(r) / len(r))
+
+    def best_split(self, block: _Block, n: int) -> tuple[int, float] | None:
+        """Maximize sum_left^2/n_left + sum_right^2/n_right over the node's rows.
+
+        That is the SSE reduction up to the parent's constant.  Candidates
+        sit between consecutive distinct values with both children >=
+        min_samples_leaf; ties go to the lowest feature index, then the
+        smallest threshold.
+        """
+        nf = self.n_features
+        msl = self.spec.min_samples_leaf
+        order, xs = (a.reshape(nf, n) for a in block)
+        # candidate positions: the left child takes pos + 1 rows, msl to n - msl
+        lo, hi = msl - 1, n - msl
+        k = hi - lo
+        rs = self.residual.take(order, out=self.sums[: nf * n].reshape(nf, n))
+        csum = rs.cumsum(axis=1, out=self.cumsum[: nf * n].reshape(nf, n))
+        sum_left = csum[:, lo:hi]
+        n_left = self.n_left[lo:hi]
+        n_right = np.subtract(n, n_left, out=self.n_right[:k])
+        right = np.subtract(csum[:, -1:], sum_left, out=self.sums[: nf * k].reshape(nf, k))
+        np.square(right, out=right)
+        np.divide(right, n_right, out=right)
+        score = np.square(sum_left, out=self.score[: nf * k].reshape(nf, k))
+        np.divide(score, n_left, out=score)
+        np.add(score, right, out=score)
+        blocked = np.less_equal(xs[:, lo + 1 : hi + 1], xs[:, lo:hi], out=self.blocked[: nf * k].reshape(nf, k))
+        np.copyto(score, -np.inf, where=blocked)
+        # the (F, k) block is feature-major, so argmax tie-breaks toward the
+        # lowest feature index, then the smallest threshold
+        f, pos = divmod(int(score.argmax()), k)
+        best_score = score[f, pos]
+        if not np.isfinite(best_score):
+            return None
+        if not best_score > csum[f, -1] ** 2 / n:
+            return None
+        pos += lo
+        return f, 0.5 * (xs[f, pos] + xs[f, pos + 1])
+
+    def partition(
+        self, depth: int, rows: np.ndarray, block: _Block, f: int, thr: float
+    ) -> tuple[tuple[np.ndarray, _Block | None], tuple[np.ndarray, _Block | None]]:
+        """Split a node at x[:, f] <= thr.
+
+        Returns (rows, block) of the left and the right child; rows stay
+        ascending, the block is None when the child will not search.
+        """
+        n = len(rows)
+        order, values = block
+        column = slice(f * n, (f + 1) * n)
+        n_left = int(values[column].searchsorted(thr, side="right"))
+        self.in_left[order[column][:n_left]] = True
+        self.in_left[order[column][n_left:]] = False
+        child_rows = self.rows[depth + 1]
+        row_mask = self.in_left.take(rows, out=self.blocked[:n])
+        rows.compress(row_mask, out=child_rows[:n_left])
+        np.logical_not(row_mask, out=row_mask)
+        rows.compress(row_mask, out=child_rows[n_left:n])
+        blocks = [None, None]
+        searching = (self.searches(depth + 1, n_left), self.searches(depth + 1, n - n_left))
+        if any(searching):
+            mask = self.in_left.take(order, out=self.blocked[: len(order)])
+            if searching[0]:
+                blocks[0] = self._select(mask, block, depth + 1, 0, n_left)
+            if searching[1]:
+                np.logical_not(mask, out=mask)
+                blocks[1] = self._select(mask, block, depth + 1, n_left, n)
+        return (child_rows[:n_left], blocks[0]), (child_rows[n_left:n], blocks[1])
+
+
+class _TreeBuilder:
+    def __init__(self, search: _SplitSearch):
+        self.search = search
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -109,60 +249,22 @@ class _TreeBuilder:
             arr.append(0)
         return len(self.feature) - 1
 
-    def _make_leaf(self, node: int, residuals: np.ndarray) -> None:
-        self.feature[node] = -1
-        self.threshold[node] = 0.0
-        self.left[node] = -1
-        self.right[node] = -1
-        self.value[node] = float(residuals.mean())
-
-    def _best_split(self, x: np.ndarray, r: np.ndarray) -> tuple[int, float] | None:
-        """Exact greedy search over sorted values, vectorized across features.
-
-        Maximizes sum_left^2/n_left + sum_right^2/n_right, which is the SSE
-        reduction up to the parent's constant.  Candidates sit between
-        consecutive distinct values with both children >= min_samples_leaf.
-        """
-        n, n_features = x.shape
-        msl = self.spec.min_samples_leaf
-        order = np.argsort(x, axis=0)
-        xs = np.take_along_axis(x, order, axis=0)
-        rs = r[order]
-        csum = np.cumsum(rs, axis=0)
-        total = csum[-1, :]
-        n_left = np.arange(1, n, dtype=np.float64)[:, None]
-        sum_left = csum[:-1, :]
-        sum_right = total[None, :] - sum_left
-        score = sum_left**2 / n_left + sum_right**2 / (n - n_left)
-        valid = (xs[1:] > xs[:-1]) & (n_left >= msl) & (n_left <= n - msl)
-        score[~valid] = -np.inf
-        # feature-major ravel so argmax tie-breaks toward the lowest feature
-        # index, then the smallest threshold
-        flat = score.T.ravel()
-        best = int(np.argmax(flat))
-        best_score = flat[best]
-        if not np.isfinite(best_score):
-            return None
-        f, pos = divmod(best, n - 1)
-        if not best_score > total[f] ** 2 / n:
-            return None
-        return f, 0.5 * (xs[pos, f] + xs[pos + 1, f])
-
-    def grow(self, x: np.ndarray, r: np.ndarray, depth: int = 0) -> int:
+    def grow(self, rows: np.ndarray, block: _Block | None, depth: int = 0) -> int:
         node = self._add_node()
-        if depth >= self.spec.max_depth or len(r) < max(2, 2 * self.spec.min_samples_leaf):
-            self._make_leaf(node, r)
-            return node
-        split = self._best_split(x, r)
+        split = None if block is None else self.search.best_split(block, len(rows))
         if split is None:
-            self._make_leaf(node, r)
+            self.feature[node] = -1
+            self.threshold[node] = 0.0
+            self.left[node] = -1
+            self.right[node] = -1
+            self.value[node] = self.search.leaf_value(rows)
             return node
         f, thr = split
-        mask = x[:, f] <= thr
+        left, right = self.search.partition(depth, rows, block, f, thr)
         self.feature[node] = f
         self.threshold[node] = thr
-        self.left[node] = self.grow(x[mask], r[mask], depth + 1)
-        self.right[node] = self.grow(x[~mask], r[~mask], depth + 1)
+        self.left[node] = self.grow(*left, depth + 1)
+        self.right[node] = self.grow(*right, depth + 1)
         return node
 
     def build(self) -> Tree:
@@ -201,17 +303,17 @@ def fit_arrays(
     base = float(y.mean())
     pred = np.full(n, base)
     rng = np.random.default_rng(spec.seed)
+    search = _SplitSearch(x, spec)
     trees: list[Tree] = []
     loss: list[float] = []
     for _ in range(spec.n_trees):
-        residual = y - pred
+        np.subtract(y, pred, out=search.residual)
+        rows = None
         if spec.subsample < 1.0:
             m = max(1, int(round(spec.subsample * n)))
             rows = np.sort(rng.permutation(n)[:m])
-        else:
-            rows = slice(None)
-        builder = _TreeBuilder(spec)
-        builder.grow(x[rows], residual[rows])
+        builder = _TreeBuilder(search)
+        builder.grow(*search.root(rows))
         tree = builder.build()
         pred = pred + spec.learning_rate * tree.predict(x)
         trees.append(tree)
@@ -354,14 +456,43 @@ def _tree_to_dict(tree: Tree) -> dict:
     }
 
 
-def _tree_from_dict(d: dict) -> Tree:
-    return Tree(
-        feature=np.asarray(d["feature"], dtype=np.int32),
-        threshold=np.asarray(d["threshold"], dtype=np.float64),
-        left=np.asarray(d["left"], dtype=np.int32),
-        right=np.asarray(d["right"], dtype=np.int32),
-        value=np.asarray(d["value"], dtype=np.float64),
-    )
+def _require(d, keys: Sequence[str], where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
+    return d
+
+
+def _tree_from_dict(d: dict, n_features: int, where: str) -> Tree:
+    """Rebuild a tree, rejecting arrays that Tree.predict could not walk.
+
+    grow writes nodes in preorder, so every child index is greater than its
+    parent's; checking that keeps a corrupt file from looping forever.
+    """
+    _require(d, ("feature", "threshold", "left", "right", "value"), where)
+    try:
+        tree = Tree(
+            feature=np.asarray(d["feature"], dtype=np.int32),
+            threshold=np.asarray(d["threshold"], dtype=np.float64),
+            left=np.asarray(d["left"], dtype=np.int32),
+            right=np.asarray(d["right"], dtype=np.int32),
+            value=np.asarray(d["value"], dtype=np.float64),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    n = len(tree.feature) if tree.feature.ndim == 1 else 0
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        raise ValueError(f"{where}: tree arrays must be flat lists of one equal, non-zero length")
+    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+        raise ValueError(f"{where}: feature index outside [-1, {n_features})")
+    internal = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[internal], tree.right[internal]):
+        if ((child <= internal) | (child >= n)).any():
+            raise ValueError(f"{where}: child index out of range or not after its parent")
+    return tree
 
 
 def _spec_to_dict(spec: RegressorSpec) -> dict:
@@ -387,13 +518,30 @@ def _model_to_dict(model: TrainedModel) -> dict:
     }
 
 
-def _model_from_dict(d: dict) -> TrainedModel:
+def _header_from_dict(d: dict, keys: Sequence[str], where: str) -> tuple[RegressorSpec, int]:
+    """Spec and n_features of a model or ensemble dict that also holds ``keys``."""
+    _require(d, ("spec", "feature_layout", "n_features", *keys), where)
+    spec = _require(d["spec"], (), f"{where}: spec")
+    try:
+        return RegressorSpec(**spec), int(d["n_features"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _model_from_dict(d: dict, where: str) -> TrainedModel:
+    spec, n_features = _header_from_dict(d, ("base_prediction", "trees"), where)
+    if not isinstance(d["trees"], list):
+        raise ValueError(f"{where}: trees must be a list")
+    try:
+        base = float(d["base_prediction"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: base_prediction: {exc}") from exc
     return TrainedModel(
-        spec=RegressorSpec(**d["spec"]),
-        trees=[_tree_from_dict(t) for t in d["trees"]],
-        base_prediction=float(d["base_prediction"]),
+        spec=spec,
+        trees=[_tree_from_dict(t, n_features, f"{where}: tree {i}") for i, t in enumerate(d["trees"])],
+        base_prediction=base,
         feature_layout_version=d["feature_layout"],
-        n_features=int(d["n_features"]),
+        n_features=n_features,
     )
 
 
@@ -420,19 +568,21 @@ def load_model(path: str | Path) -> TrainedModel | Ensemble:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"model file not found: {path}")
-    d = json.loads(path.read_text(encoding="utf-8"))
+    d = _require(json.loads(path.read_text(encoding="utf-8")), ("kind",), str(path))
     if d.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {d.get('format_version')!r}")
     if d["kind"] == "single":
-        return _model_from_dict(d)
+        return _model_from_dict(d, str(path))
     if d["kind"] == "ensemble":
-        members = [_model_from_dict(m) for m in d["members"]]
+        spec, n_features = _header_from_dict(d, ("members",), str(path))
+        if not isinstance(d["members"], list):
+            raise ValueError(f"{path}: members must be a list")
         return Ensemble(
-            members=members,
+            members=[_model_from_dict(m, f"{path}: member {u}") for u, m in enumerate(d["members"])],
             subset_assignment=np.array([], dtype=np.int32),
-            spec=RegressorSpec(**d["spec"]),
+            spec=spec,
             feature_layout_version=d["feature_layout"],
-            n_features=int(d["n_features"]),
+            n_features=n_features,
         )
     raise ValueError(f"{path}: unknown model kind {d['kind']!r}")
 

@@ -342,3 +342,96 @@ def test_features_dump_scalogram(synth_dir, config_file, tmp_path):
     first = np.loadtxt(dumps[0], delimiter=",")
     assert first.shape == (4, 900)  # scales x samples-per-window
     assert (first >= 0).all()
+
+
+@pytest.mark.parametrize(
+    "section, option, value",
+    [
+        ("train", "n_members", 1),
+        ("wavelet", "scales", 0),
+        ("evaluate", "jobs", 0),
+        ("evaluate", "rolling_n", 0),
+        ("features", "entropy_bins", 0),
+    ],
+)
+def test_config_lower_bounds_exit_3(section, option, value, synth_dir, tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{option} = {value}\n")
+    code = main(
+        ["evaluate", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "r.json"),
+         "--config", str(ini)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error[3]:") and option in err
+
+
+def test_evaluate_flags_reach_config(synth_dir, tmp_path, capsys):
+    code = main(
+        ["evaluate", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "r.json"),
+         "--rolling-n", "0"]
+    )
+    assert code == 3
+    assert "rolling_n" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def model_payload(tmp_path_factory):
+    """A real single-model file, trained once for the corruption cases."""
+    base = tmp_path_factory.mktemp("model")
+    data = base / "data"
+    assert main(["synth", "--out", str(data), "--subjects", "3", "--days-min", "12", "--days-max", "13",
+                 "--rate", repr(RATE), "--band-low", "0.0008", "--band-high", "0.004", "--seed", "5"]) == 0
+    ini = base / "pipeline.ini"
+    ini.write_text(f"[preprocess]\ntarget_hz = {RATE!r}\n[wavelet]\nscales = 4\n")
+    model = base / "model.json"
+    assert main(["train", "--manifest", str(data / "manifest.json"), "--model-out", str(model),
+                 "--config", str(ini), "--n-trees", "4", "--max-depth", "2", "--min-samples-leaf", "2"]) == 0
+    return ["--manifest", str(data / "manifest.json"), "--config", str(ini)], json.loads(model.read_text())
+
+
+def _corrupt(case, payload):
+    tree = next(t for t in payload["trees"] if t["feature"][0] >= 0)
+    if case == "missing-kind":
+        del payload["kind"]
+    elif case == "missing-spec":
+        del payload["spec"]
+    elif case == "missing-trees":
+        del payload["trees"]
+    elif case == "missing-tree-key":
+        del tree["threshold"]
+    elif case == "unequal-lengths":
+        tree["value"].append(0.0)
+    elif case == "child-out-of-range":
+        tree["left"][0] = len(tree["feature"])
+    elif case == "child-loops-back":
+        tree["right"][0] = 0  # would send Tree.predict round the root forever
+    elif case == "feature-out-of-range":
+        tree["feature"][0] = payload["n_features"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing-kind", "missing-spec", "missing-trees", "missing-tree-key", "unequal-lengths",
+     "child-out-of-range", "child-loops-back", "feature-out-of-range"],
+)
+def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsys):
+    flags, payload = model_payload
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_corrupt(case, json.loads(json.dumps(payload)))))
+    code = main(["predict", "--model", str(path), *flags])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error[3]: {path}")
+
+
+def test_predict_accepts_uncorrupted_model_file(model_payload, tmp_path, capsys):
+    flags, payload = model_payload
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    code = main(["predict", "--model", str(path), *flags])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3

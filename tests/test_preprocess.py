@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sproutcast
 from sproutcast.preprocess import (
     SECONDS_PER_DAY,
     biquad_lowpass,
@@ -134,3 +140,11 @@ def test_segment_subday_windows():
     windows = segment(make_signal(x, 1.0), 10)  # 10-second windows
     assert len(windows) == 10
     assert [w.day_offset for w in windows] == [0] * 10
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second to import; only filtering needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(sproutcast.__file__).parents[1]))
+    code = "import sys, sproutcast.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

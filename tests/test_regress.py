@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sproutcast.features import FeatureVector, LabeledExample
 from sproutcast.regress import (
     Ensemble,
     RegressorSpec,
     T_CRIT_975_DF9,
+    Tree,
     TrainedModel,
+    _SplitSearch,
     ensemble_predict,
     fit,
+    fit_arrays,
     fit_ensemble,
     load_model,
     predict,
@@ -192,3 +197,129 @@ def test_spec_validation():
         RegressorSpec(subsample=1.5)
     with pytest.raises(ValueError):
         RegressorSpec(max_depth=0)
+
+
+# ---------------------------------------------------------------- oracle
+#
+# The split search before column presorting: every node argsorts its own
+# n x F block (stably, so equal values keep row order) and scans the
+# cumulative sums.  The presorted search must pick the same split and grow
+# the same trees.
+
+
+def reference_best_split(x, r, msl):
+    n = len(r)
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    rs = r[order]
+    csum = np.cumsum(rs, axis=0)
+    total = csum[-1, :]
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    sum_left = csum[:-1, :]
+    sum_right = total[None, :] - sum_left
+    score = sum_left**2 / n_left + sum_right**2 / (n - n_left)
+    valid = (xs[1:] > xs[:-1]) & (n_left >= msl) & (n_left <= n - msl)
+    score[~valid] = -np.inf
+    flat = score.T.ravel()
+    best = int(np.argmax(flat))
+    best_score = flat[best]
+    if not np.isfinite(best_score):
+        return None
+    f, pos = divmod(best, n - 1)
+    if not best_score > total[f] ** 2 / n:
+        return None
+    return f, 0.5 * (xs[pos, f] + xs[pos + 1, f])
+
+
+def reference_grow(x, r, spec, nodes, depth=0):
+    node = len(nodes)
+    nodes.append(None)
+    split = None
+    if depth < spec.max_depth and len(r) >= max(2, 2 * spec.min_samples_leaf):
+        split = reference_best_split(x, r, spec.min_samples_leaf)
+    if split is None:
+        nodes[node] = (-1, 0.0, -1, -1, float(r.mean()))
+        return node
+    f, thr = split
+    mask = x[:, f] <= thr
+    left = reference_grow(x[mask], r[mask], spec, nodes, depth + 1)
+    right = reference_grow(x[~mask], r[~mask], spec, nodes, depth + 1)
+    nodes[node] = (f, thr, left, right, 0.0)
+    return node
+
+
+def reference_trees(x, y, spec):
+    n = len(y)
+    pred = np.full(n, float(y.mean()))
+    rng = np.random.default_rng(spec.seed)
+    trees = []
+    for _ in range(spec.n_trees):
+        residual = y - pred
+        rows = slice(None)
+        if spec.subsample < 1.0:
+            m = max(1, int(round(spec.subsample * n)))
+            rows = np.sort(rng.permutation(n)[:m])
+        nodes = []
+        reference_grow(x[rows], residual[rows], spec, nodes)
+        feature, threshold, left, right, value = zip(*nodes)
+        tree = Tree(
+            feature=np.asarray(feature, dtype=np.int32),
+            threshold=np.asarray(threshold, dtype=np.float64),
+            left=np.asarray(left, dtype=np.int32),
+            right=np.asarray(right, dtype=np.int32),
+            value=np.asarray(value, dtype=np.float64),
+        )
+        pred = pred + spec.learning_rate * tree.predict(x)
+        trees.append(tree)
+    return trees
+
+
+TIED = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+SPREAD = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 5))
+    x = draw(arrays(np.float64, (n, n_features), elements=draw(st.sampled_from([TIED, SPREAD]))))
+    for f in draw(st.sets(st.integers(0, n_features - 1))):
+        x[:, f] = x[0, f]
+    r = draw(arrays(np.float64, n, elements=draw(st.sampled_from([TIED, SPREAD]))))
+    # min_samples_leaf from 1 to just past the n // 2 limit
+    msl = draw(st.integers(1, n // 2 + 1))
+    keep = draw(arrays(bool, n))
+    rows = np.flatnonzero(keep) if keep.sum() >= 2 and not keep.all() else None
+    return x, r, msl, rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(split_problems())
+def test_presorted_split_matches_reference(problem):
+    x, r, msl, rows = problem
+    search = _SplitSearch(x, RegressorSpec(max_depth=1, min_samples_leaf=msl))
+    search.residual[:] = r
+    node_rows, block = search.root(rows)
+    picked = None if block is None else search.best_split(block, len(node_rows))
+    sub = slice(None) if rows is None else rows
+    assert picked == reference_best_split(x[sub], r[sub], msl)
+
+
+@pytest.mark.parametrize("subsample", [0.7, 1.0])
+@pytest.mark.parametrize("min_samples_leaf", [1, 4])
+def test_fit_trees_match_reference_grow(subsample, min_samples_leaf):
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(90, 7))
+    x[:, 1] = np.round(x[:, 1])  # heavy ties
+    x[:, 4] = 3.0  # constant column
+    y = x[:, 0] - 2 * x[:, 1] + rng.normal(scale=0.3, size=90)
+    spec = RegressorSpec(
+        n_trees=12, max_depth=3, learning_rate=0.3, min_samples_leaf=min_samples_leaf,
+        subsample=subsample, seed=8,
+    )
+    model = fit_arrays(x, y, spec)
+    expected = reference_trees(x, y, spec)
+    assert len(model.trees) == len(expected)
+    for got, want in zip(model.trees, expected):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
