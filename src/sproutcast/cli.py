@@ -295,7 +295,7 @@ def cmd_report(args: argparse.Namespace, argv: list[str]) -> int:
     path = Path(args.report)
     if not path.exists():
         raise FileNotFoundError(f"report not found: {path}")
-    report = report_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    report = report_from_dict(json.loads(path.read_text(encoding="utf-8")), str(path))
     print(f"dataset:   {report.label}  (N={report.n_subjects}, strategy={report.strategy}"
           + (f", uq_th={report.uq_th:g})" if report.uq_th is not None else ")"))
     print(f"MAE:       {report.mae:.3f} days   (constant-mean baseline {report.baseline_mae:.3f})")

@@ -321,12 +321,68 @@ def report_to_dict(report: EvaluationReport) -> dict:
     }
 
 
-def report_from_dict(d: dict) -> EvaluationReport:
+_NUMBER = (int, float)
+_OPTIONAL_NUMBER = (int, float, type(None))
+_REPORT_FIELDS = {
+    "mae": _NUMBER,
+    "esd": _NUMBER,
+    "baseline_mae": _NUMBER,
+    "esd_percentiles": list,
+    "tlag_curve": list,
+    "calibration": dict,
+    "variance_decomposition": dict,
+    "per_subject": list,
+    "n_subjects": int,
+    "fallback_count": int,
+    "strategy": str,
+    "uq_th": _OPTIONAL_NUMBER,
+}
+_TLAG_FIELDS = {"t_lag": int, "mean_esd": _OPTIONAL_NUMBER, "n_subjects": int}
+_CALIBRATION_BIN_FIELDS = {"y_hat_center": _NUMBER, "e_y": _NUMBER, "std_y": _NUMBER, "count": int, "low_support": bool}
+_VARIANCE_FIELDS = {"var_y": _NUMBER, "var_y_hat": _NUMBER, "e_var_y_given_y_hat": _NUMBER}
+
+
+def _is(value, types) -> bool:
+    """isinstance, except that a JSON true/false is not a number."""
+    types = types if isinstance(types, tuple) else (types,)
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
+def _check_fields(d, fields: dict, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    for key, types in fields.items():
+        if key not in d:
+            raise ValueError(f"{where}: missing key {key!r}")
+        if not _is(d[key], types):
+            raise ValueError(f"{where}: {key} has the wrong type ({type(d[key]).__name__})")
+
+
+def report_from_dict(d: dict, where: str = "report") -> EvaluationReport:
+    """Rebuild a report written by ``write_report``.
+
+    Raises ValueError on a missing key or a value of the wrong type in any
+    part that the report viewer or ``write_curves`` reads.
+    """
+    _check_fields(d, _REPORT_FIELDS, where)
+    if not isinstance(d.get("label", ""), str):
+        raise ValueError(f"{where}: label has the wrong type ({type(d['label']).__name__})")
+    pairs = d["esd_percentiles"]
+    if not all(isinstance(pair, list) and len(pair) == 2 and all(_is(v, _NUMBER) for v in pair) for pair in pairs):
+        raise ValueError(f"{where}: esd_percentiles must be [percentile, value] number pairs")
+    if [p for p, _ in pairs] != list(range(101)):
+        raise ValueError(f"{where}: esd_percentiles must list percentiles 0 to 100 in order")
+    for i, row in enumerate(d["tlag_curve"]):
+        _check_fields(row, _TLAG_FIELDS, f"{where}: tlag_curve[{i}]")
+    _check_fields(d["calibration"], {"bins": list}, f"{where}: calibration")
+    for i, row in enumerate(d["calibration"]["bins"]):
+        _check_fields(row, _CALIBRATION_BIN_FIELDS, f"{where}: calibration bins[{i}]")
+    _check_fields(d["variance_decomposition"], _VARIANCE_FIELDS, f"{where}: variance_decomposition")
     return EvaluationReport(
         mae=d["mae"],
         esd=d["esd"],
         baseline_mae=d["baseline_mae"],
-        esd_percentiles=[(float(p), float(v)) for p, v in d["esd_percentiles"]],
+        esd_percentiles=[(float(p), float(v)) for p, v in pairs],
         tlag_curve=d["tlag_curve"],
         calibration=d["calibration"],
         variance_decomposition=d["variance_decomposition"],

@@ -108,39 +108,125 @@ def layout_version(k: int, time_domain: bool = False) -> str:
     return f"wavelet-morlet-k{k}-f{FEATURES_PER_SCALE}-v1"
 
 
-def _feature_row(x: np.ndarray, entropy_bins: int) -> np.ndarray:
-    lo = float(x.min())
-    hi = float(x.max())
-    mean = float(x.mean())
-    p5, p25, median, p75, p95 = np.percentile(x, (5.0, 25.0, 50.0, 75.0, 95.0))
-    energy = float(x @ x)
-    if hi > lo:
-        counts, _ = np.histogram(x, bins=entropy_bins, range=(lo, hi))
-        p = counts[counts > 0] / x.size
-        entropy = float(-(p * np.log(p)).sum())
-    else:
-        entropy = 0.0
-    zero_crossings = int(np.count_nonzero(x[:-1] * x[1:] < 0.0))
-    centered = x - mean
-    mean_crossings = int(np.count_nonzero(centered[:-1] * centered[1:] < 0.0))
-    return np.array(
+# numpy's "linear" percentile rule puts quantile q at virtual index (n - 1) * q
+_QUANTILES = np.array([5.0, 25.0, 50.0, 75.0, 95.0]) / 100
+# rows are sorted and reduced about 2 MiB at a time, so a 1 Hz day window
+# (8 scales x 86400 samples) never holds more than a few rows of temporaries
+_CHUNK_BYTES = 2 << 20
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """numpy's quantile interpolation: from ``a`` below t = 0.5, from ``b`` above."""
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
+def _percentiles(s: np.ndarray) -> np.ndarray:
+    """The 5th, 25th, 50th, 75th and 95th percentile of each sorted row."""
+    n = s.shape[1]
+    virtual = (n - 1) * _QUANTILES
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    top = virtual >= n - 1
+    prev[top] = nxt[top] = -1
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    return _lerp(s[:, prev], s[:, nxt], virtual - prev)
+
+
+def _entropy(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
+    """Histogram entropy of each sorted row over its own range; 0 if constant.
+
+    Bin i is [e_i, e_i+1) on the edges of ``np.linspace(lo, hi, bins + 1)``,
+    the last bin closed, as in ``np.histogram``; the counts are read off the
+    sorted row by binary search.  Each row's terms are summed as one array
+    of their own: padding rows with zeros, or ``np.add.reduceat`` over one
+    long array, would change numpy's pairwise sum in the last bit.
+    """
+    n = s.shape[1]
+    entropy = np.zeros(len(s))
+    spread = np.flatnonzero(hi > lo)
+    if not spread.size:
+        return entropy
+    # np.linspace(lo, hi, bins + 1) of each row; where its step underflows to 0
+    # linspace takes another branch, but such edges never increase strictly
+    width = (hi - lo)[spread, None] / bins
+    edges = np.arange(bins + 1.0) * width + lo[spread, None]
+    edges[:, -1] = hi[spread]
+    if np.any(edges[:, :-1] >= edges[:, 1:]):
+        raise ValueError(f"Too many bins for data range. Cannot create {bins} finite-sized bins.")
+    below = np.empty(edges.shape, dtype=np.intp)
+    for i, row in enumerate(spread):
+        below[i] = s[row].searchsorted(edges[i])
+    below[:, -1] = n
+    counts = np.diff(below, axis=1)
+    # np.histogram corrects its estimate of a bin by at most one; a subnormal
+    # width is a whole number of the smallest floats, which can put an edge
+    # further off than that, so such rows are counted by np.histogram itself
+    for i in np.flatnonzero(width[:, 0] < np.finfo(np.float64).tiny):
+        row = spread[i]
+        counts[i] = np.histogram(s[row], bins=bins, range=(lo[row], hi[row]))[0]
+    nonzero = counts > 0
+    p = counts[nonzero] / n
+    terms = p * np.log(p)
+    ends = np.cumsum(nonzero.sum(axis=1)).tolist()
+    entropy[spread] = [-terms[a:b].sum() for a, b in zip([0] + ends[:-1], ends)]
+    return entropy
+
+
+def _reduce_chunk(x: np.ndarray, bins: int) -> np.ndarray:
+    n = x.shape[1]
+    s = np.sort(x, axis=1)
+    lo, hi = s[:, 0], s[:, -1]
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("series contains non-finite values")
+    mean = np.add.reduce(x, axis=1) / n
+    centered = x - mean[:, None]
+    std = np.sqrt(np.add.reduce(centered * centered, axis=1) / n)
+    energy = np.add.reduce(x * x, axis=1)
+    pct = _percentiles(s)
+    zero_crossings = np.count_nonzero(x[:, :-1] * x[:, 1:] < 0.0, axis=1)
+    mean_crossings = np.count_nonzero(centered[:, :-1] * centered[:, 1:] < 0.0, axis=1)
+    return np.column_stack(
         [
             energy,
-            p5,
-            p25,
-            median,
+            pct[:, :3],
             mean,
-            p75,
-            p95,
-            float(x.std()),
+            pct[:, 3:],
+            std,
             lo,
             hi,
-            entropy,
+            _entropy(s, lo, hi, bins),
             zero_crossings,
             mean_crossings,
-            float(np.sqrt(energy / x.size)),
+            np.sqrt(energy / n),
         ]
     )
+
+
+def _reduce_rows(rows: np.ndarray, entropy_bins: int) -> np.ndarray:
+    """The 14 statistics of every row of an (R, n) block, as an (R, 14) array.
+
+    One sort per row gives min, max, the five percentiles and the histogram
+    counts; everything else is a reduction along the row.  Each value is
+    bit for bit what numpy gives for one row on its own: ``x.min()``,
+    ``np.percentile(x, q)``, ``np.histogram(x, bins, range=(min, max))``,
+    ``x.mean()``, ``x.std()`` and ``np.add.reduce(x * x)``.  No value goes
+    through BLAS, whose sums depend on its thread count.
+    """
+    x = np.ascontiguousarray(rows, dtype=np.float64)
+    if x.ndim != 2 or 0 in x.shape:
+        raise ValueError("rows must be a non-empty 2-D block")
+    if entropy_bins < 1:
+        raise ValueError("entropy_bins must be positive")
+    step = max(1, _CHUNK_BYTES // (x.itemsize * x.shape[1]))
+    return np.concatenate([_reduce_chunk(x[i : i + step], entropy_bins) for i in range(0, len(x), step)])
+
+
+def _feature_row(x: np.ndarray, entropy_bins: int) -> np.ndarray:
+    """The 14 statistics of one series (a one-row ``_reduce_rows``)."""
+    return _reduce_rows(np.asarray(x, dtype=np.float64)[None, :], entropy_bins)[0]
 
 
 def extract_scale_features(coeffs: np.ndarray, entropy_bins: int = 64) -> ScaleFeatures:
@@ -154,8 +240,6 @@ def extract_scale_features(coeffs: np.ndarray, entropy_bins: int = 64) -> ScaleF
     x = np.asarray(coeffs, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("coefficient series must be 1-D with at least 2 samples")
-    if not np.isfinite(x).all():
-        raise ValueError("coefficient series contains non-finite values")
     row = _feature_row(x, entropy_bins)
     kwargs = dict(zip(FEATURE_NAMES, row))
     kwargs["zero_crossings"] = int(kwargs["zero_crossings"])
@@ -174,7 +258,7 @@ def build_feature_vector(
     coeffs = tw.coefficients
     if coeffs.shape[0] != plan.k:
         raise ValueError(f"transform has {coeffs.shape[0]} scales, plan expects {plan.k}")
-    values = np.concatenate([_feature_row(coeffs[s], entropy_bins) for s in range(plan.k)])
+    values = _reduce_rows(coeffs, entropy_bins).ravel()
     return FeatureVector(
         subject_id=subject_id,
         window_index=tw.window_index,
@@ -202,7 +286,7 @@ def extract_subject_features(rec: Recording, cfg: PipelineConfig) -> list[Featur
                 subject_id=w.subject_id,
                 window_index=w.window_index,
                 day_offset=w.day_offset,
-                values=_feature_row(np.asarray(w.samples, dtype=np.float64), cfg.entropy_bins),
+                values=_feature_row(w.samples, cfg.entropy_bins),
             )
             for w in windows
         ]

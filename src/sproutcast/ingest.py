@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 CSV_HEADER = "elapsed_seconds,voltage_volts"
+_CSV_CHUNK_ROWS = 8192
 
 
 class IngestError(ValueError):
@@ -130,12 +131,19 @@ def read_signal_csv(path: Path) -> np.ndarray:
 
 
 def write_signal_csv(path: Path, samples: np.ndarray, sample_rate_hz: float) -> None:
-    """Write a signal CSV that round-trips float64 voltages exactly."""
+    """Write a signal CSV that round-trips float64 voltages exactly.
+
+    The bytes are those of ``np.savetxt(fh, rows, delimiter=",", fmt="%.17g")``;
+    each chunk of rows is formatted by one ``%`` on a repeated row format.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     elapsed = np.arange(len(samples), dtype=np.float64) / sample_rate_hz
+    rows = np.column_stack([elapsed, samples])
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        np.savetxt(fh, np.column_stack([elapsed, samples]), delimiter=",", fmt="%.17g")
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = rows[start : start + _CSV_CHUNK_ROWS]
+            fh.write(("%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:

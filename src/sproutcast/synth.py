@@ -110,7 +110,7 @@ def generate_recording(cfg: SynthConfig, index: int) -> Recording:
             for f, ph in zip(freqs, phases):
                 carrier += np.sin(2.0 * np.pi * f * t[sl] + ph)
             burst = gate * carrier
-            norm = np.linalg.norm(burst)
+            norm = np.sqrt(np.add.reduce(burst * burst))  # not BLAS: thread-count independent
             if norm == 0.0:
                 continue
             # unit day-RMS before scaling, so daily signature energy is exactly

@@ -99,7 +99,8 @@ def morlet_kernel(scale: float, window_len: int, omega0: float = DEFAULT_OMEGA0)
     offsets = (np.arange(w) + w // 2) % w - w // 2
     t = offsets / scale
     psi = (math.pi ** -0.25) * np.exp(1j * omega0 * t) * np.exp(-0.5 * t * t)
-    return psi / np.linalg.norm(psi)
+    # numpy's own sums, not BLAS (np.linalg.norm), whose bits depend on its thread count
+    return psi / np.sqrt(np.add.reduce(psi.real * psi.real) + np.add.reduce(psi.imag * psi.imag))
 
 
 @lru_cache(maxsize=16)

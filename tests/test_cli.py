@@ -435,3 +435,54 @@ def test_predict_accepts_uncorrupted_model_file(model_payload, tmp_path, capsys)
     code = main(["predict", "--model", str(path), *flags])
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+@pytest.fixture(scope="module")
+def report_payload(tmp_path_factory):
+    """A real report, written once for the corruption cases."""
+    base = tmp_path_factory.mktemp("report")
+    data = base / "data"
+    assert main(["synth", "--out", str(data), "--subjects", "3", "--days-min", "12", "--days-max", "13",
+                 "--rate", repr(RATE), "--band-low", "0.0008", "--band-high", "0.004", "--seed", "5"]) == 0
+    ini = base / "pipeline.ini"
+    ini.write_text(f"[preprocess]\ntarget_hz = {RATE!r}\n[wavelet]\nscales = 4\n")
+    report = base / "report.json"
+    assert main(["evaluate", "--manifest", str(data / "manifest.json"), "--out", str(report),
+                 "--config", str(ini), "--n-trees", "4", "--max-depth", "2", "--min-samples-leaf", "2"]) == 0
+    return json.loads(report.read_text())
+
+
+_REPORT_CORRUPTIONS = {
+    "empty-object": lambda r: {},
+    "not-an-object": lambda r: [r],
+    "missing-mae": lambda r: {k: v for k, v in r.items() if k != "mae"},
+    "mae-is-text": lambda r: {**r, "mae": "3.1"},
+    "count-is-bool": lambda r: {**r, "fallback_count": True},
+    "uq-th-is-text": lambda r: {**r, "uq_th": "8"},
+    "label-is-number": lambda r: {**r, "label": 7},
+    "percentile-pair-short": lambda r: {**r, "esd_percentiles": [p[:1] for p in r["esd_percentiles"]]},
+    "percentiles-truncated": lambda r: {**r, "esd_percentiles": r["esd_percentiles"][:50]},
+    "tlag-row-missing-key": lambda r: {**r, "tlag_curve": [{"t_lag": 0, "n_subjects": 1}]},
+    "calibration-without-bins": lambda r: {**r, "calibration": {}},
+    "calibration-bin-wrong-type": lambda r: {
+        **r, "calibration": {**r["calibration"], "bins": [{**r["calibration"]["bins"][0], "count": 2.5}]}},
+    "variance-missing-key": lambda r: {**r, "variance_decomposition": {"var_y": 1.0}},
+}
+
+
+def test_report_accepts_uncorrupted_report(report_payload, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report_payload))
+    assert main(["report", "--report", str(path), "--curves-dir", str(tmp_path / "curves")]) == 0
+    assert "MAE:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(_REPORT_CORRUPTIONS))
+def test_report_rejects_corrupt_report_file(case, report_payload, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_REPORT_CORRUPTIONS[case](json.loads(json.dumps(report_payload)))))
+    code = main(["report", "--report", str(path), "--curves-dir", str(tmp_path / "curves")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error[3]: {path}")

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import sproutcast.features as features
 from sproutcast.config import PipelineConfig
 from sproutcast.features import (
     FEATURE_NAMES,
     FEATURES_PER_SCALE,
+    _reduce_rows,
     build_dataset,
     build_feature_vector,
     extract_scale_features,
@@ -14,6 +18,129 @@ from sproutcast.ingest import Dataset, IngestError
 from sproutcast.wavelet import TransformedWindow, plan_scales
 
 from conftest import make_recording
+
+
+def oracle_feature_row(x: np.ndarray, entropy_bins: int) -> np.ndarray:
+    """The 14 statistics of one series from numpy's own per-row calls."""
+    lo = float(x.min())
+    hi = float(x.max())
+    mean = float(x.mean())
+    p5, p25, median, p75, p95 = np.percentile(x, (5.0, 25.0, 50.0, 75.0, 95.0))
+    energy = float(np.add.reduce(x * x))
+    if hi > lo:
+        counts, _ = np.histogram(x, bins=entropy_bins, range=(lo, hi))
+        p = counts[counts > 0] / x.size
+        entropy = float(-(p * np.log(p)).sum())
+    else:
+        entropy = 0.0
+    zero_crossings = int(np.count_nonzero(x[:-1] * x[1:] < 0.0))
+    centered = x - mean
+    mean_crossings = int(np.count_nonzero(centered[:-1] * centered[1:] < 0.0))
+    return np.array(
+        [
+            energy,
+            p5,
+            p25,
+            median,
+            mean,
+            p75,
+            p95,
+            float(x.std()),
+            lo,
+            hi,
+            entropy,
+            zero_crossings,
+            mean_crossings,
+            float(np.sqrt(energy / x.size)),
+        ]
+    )
+
+
+def oracle_block(block: np.ndarray, entropy_bins: int):
+    """(R, 14) statistics, or the message of the ValueError a row raises."""
+    try:
+        return np.stack([oracle_feature_row(row, entropy_bins) for row in block])
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_matches_oracle(block: np.ndarray, entropy_bins: int) -> None:
+    want = oracle_block(block, entropy_bins)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            _reduce_rows(block, entropy_bins)
+        assert str(info.value) == want
+        return
+    got = _reduce_rows(block, entropy_bins)
+    assert got.shape == want.shape
+    # bit for bit, signed zeros included
+    assert got.tobytes() == want.tobytes(), np.argwhere(got.view(np.int64) != want.view(np.int64))
+
+
+_BASES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def row_blocks(draw):
+    """(R, W) blocks: spread, tied, constant, ulp-wide or negative rows."""
+    r = draw(st.integers(1, 5))
+    w = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["spread", "ties", "constant", "ulp", "negative"]))
+    if kind == "spread":
+        return draw(arrays(np.float64, (r, w), elements=_BASES))
+    if kind == "ties":
+        levels = draw(st.lists(_BASES, min_size=1, max_size=4))
+        return draw(arrays(np.float64, (r, w), elements=st.sampled_from(levels)))
+    if kind == "constant":
+        return np.full((r, w), draw(_BASES))
+    if kind == "ulp":
+        base = draw(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+        steps = draw(arrays(np.int64, (r, w), elements=st.integers(0, draw(st.integers(1, 300)))))
+        return base + steps * np.spacing(base)
+    return -np.abs(draw(arrays(np.float64, (r, w), elements=_BASES)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(block=row_blocks(), entropy_bins=st.integers(1, 200))
+# a subnormal bin width of 9/7 of the smallest float rounds to 1 of it
+@example(block=np.array([[3.0e-323, 4.4e-323, 0.0]]), entropy_bins=7)
+def test_block_reduction_matches_per_row_oracle(block, entropy_bins):
+    assert_matches_oracle(block, entropy_bins)
+
+
+def test_block_reduction_matches_oracle_on_magnitude_rows(rng):
+    for w in (2, 3, 1080, 5000):
+        assert_matches_oracle(np.abs(rng.normal(size=(8, w))), 64)
+
+
+def test_block_reduction_raises_like_histogram_on_too_many_bins():
+    row = np.array([1.0, np.nextafter(1.0, 2.0), 1.0])
+    block = np.stack([np.arange(3.0), row])
+    assert_matches_oracle(block, 1)
+    with pytest.raises(ValueError, match="Too many bins"):
+        _reduce_rows(block, 3)
+    assert_matches_oracle(block, 3)
+
+
+def test_block_reduction_matches_oracle_on_subnormal_rows():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    for steps in ([0, 6, 9], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [3, 200, 17, 1000]):
+        row = np.array(steps, dtype=np.float64) * tiny
+        for bins in range(1, 12):
+            assert_matches_oracle(np.stack([row, -row, row + 1.0]), bins)
+
+
+def test_block_reduction_is_chunk_invariant(rng, monkeypatch):
+    block = np.abs(rng.normal(size=(7, 500)))
+    whole = _reduce_rows(block, 64)
+    monkeypatch.setattr(features, "_CHUNK_BYTES", 2 * 500 * 8)
+    assert _reduce_rows(block, 64).tobytes() == whole.tobytes()
+
+
+def test_block_reduction_rejects_non_finite_rows():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            _reduce_rows(np.array([[1.0, 2.0], [3.0, bad]]), 8)
 
 
 def test_feature_count_is_14():

@@ -20,7 +20,7 @@ GOLDEN_REPORTS = {
     "ensemble": (3.7425848342603834, 0.783521257525726),
 }
 # sha256 of the model file written by `train --strategy single`
-GOLDEN_MODEL_SHA256 = "fbc658372e3f2ea902bfa434f099f058f867c6947e60439dc9143a9a4851723c"
+GOLDEN_MODEL_SHA256 = "25dcdc5e6d0bd28172a35de61e270ef5796a4c78a0d826a539fe23eb2c346a02"
 
 
 @pytest.fixture(scope="module")

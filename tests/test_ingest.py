@@ -150,3 +150,19 @@ def test_unlabelled_allowed_but_flagged():
     ds = Dataset(recordings=[rec], label="infer")
     with pytest.raises(IngestError, match="sprouting_day"):
         ds.require_labels()
+
+
+@pytest.mark.parametrize("rate", [1.0, 1 / 80, 1 / 96, 3.0, 256.0])
+@pytest.mark.parametrize("n", [1, 2, 8191, 8192, 8193, 2 * 8192 + 5])
+def test_signal_csv_bytes_match_savetxt(tmp_path, rate, n):
+    rng = np.random.default_rng(n)
+    samples = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    samples[: min(n, 4)] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308][: min(n, 4)]
+    ours = tmp_path / "ours.csv"
+    write_signal_csv(ours, samples, rate)
+    reference = tmp_path / "reference.csv"
+    with reference.open("w", encoding="utf-8") as fh:
+        fh.write(CSV_HEADER + "\n")
+        elapsed = np.arange(n, dtype=np.float64) / rate
+        np.savetxt(fh, np.column_stack([elapsed, samples]), delimiter=",", fmt="%.17g")
+    assert ours.read_bytes() == reference.read_bytes()
