@@ -11,8 +11,8 @@ from sproutcast.ingest import Dataset, Recording, load_dataset, write_dataset
 from sproutcast.preprocess import ConditionedSignal, SignalWindow, condition, segment
 from sproutcast.wavelet import ScalePlan, TransformedWindow, cwt, cwt_direct, plan_scales
 from sproutcast.features import (
+    ExampleSet,
     FeatureVector,
-    LabeledExample,
     ScaleFeatures,
     build_dataset,
     extract_scale_features,
@@ -48,7 +48,7 @@ __all__ = [
     "cwt_direct",
     "ScaleFeatures",
     "FeatureVector",
-    "LabeledExample",
+    "ExampleSet",
     "extract_scale_features",
     "build_dataset",
     "RegressorSpec",

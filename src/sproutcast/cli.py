@@ -10,6 +10,7 @@ configuration next to its primary output.  Exit codes: 0 success, 2 usage,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,12 +21,11 @@ from sproutcast import __version__
 from sproutcast.config import ConfigError, PipelineConfig, config_as_dict, resolve_config
 from sproutcast.estimate import aggregate, window_estimates
 from sproutcast.evaluate import compute_metrics, loo_cv, report_from_dict, write_curves, write_report
-from sproutcast.features import build_dataset, extract_subject_features, iter_feature_rows, layout_version
+from sproutcast.features import build_dataset, extract_subject_features, iter_transforms, layout_version
 from sproutcast.ingest import IngestError, day_offset_date, load_dataset, write_dataset, write_signal_csv
 from sproutcast.preprocess import condition
 from sproutcast.regress import Ensemble, fit, fit_ensemble, load_model, save_model, spec_from_config
 from sproutcast.synth import SynthConfig, generate
-from sproutcast.wavelet import cwt, plan_scales
 
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
@@ -56,7 +56,6 @@ def _pipeline_flags(parser: argparse.ArgumentParser, *, training: bool) -> None:
     parser.add_argument("--config", help="INI config file (one section per module)")
     parser.add_argument("--window-seconds", type=int, dest="window_seconds")
     parser.add_argument("--scales", type=int, dest="scales", help="number of CWT scales")
-    parser.add_argument("--wavelet", dest="mother", help="mother wavelet (morlet)")
     parser.add_argument("--omega0", type=float, dest="omega0")
     parser.add_argument("--entropy-bins", type=int, dest="entropy_bins")
     parser.add_argument(
@@ -77,32 +76,7 @@ def _pipeline_flags(parser: argparse.ArgumentParser, *, training: bool) -> None:
         parser.add_argument("--subsample", type=float, dest="subsample")
 
 
-_CFG_FIELDS = (
-    "window_seconds",
-    "scales",
-    "mother",
-    "omega0",
-    "entropy_bins",
-    "time_domain",
-    "strategy",
-    "uq_th",
-    "seed",
-    "n_trees",
-    "max_depth",
-    "learning_rate",
-    "min_samples_leaf",
-    "subsample",
-    "notch_hz",
-    "notch_q",
-    "lowpass_hz",
-    "lowpass_q",
-    "target_hz",
-    "jobs",
-    "tlag_min",
-    "tlag_max",
-    "calibration_bin_width",
-    "rolling_n",
-)
+_CFG_FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
 
 def _resolve(args: argparse.Namespace) -> PipelineConfig:
@@ -144,14 +118,7 @@ def cmd_preprocess(args: argparse.Namespace, argv: list[str]) -> int:
     raw = json.loads(manifest_path.read_text(encoding="utf-8"))
     by_id = {entry["id"]: entry for entry in raw["subjects"]}
     for rec in dataset.recordings:
-        conditioned = condition(
-            rec,
-            notch_hz=cfg.notch_hz,
-            notch_q=cfg.notch_q,
-            lowpass_hz=cfg.lowpass_hz,
-            lowpass_q=cfg.lowpass_q,
-            target_hz=cfg.target_hz,
-        )
+        conditioned = condition(rec, cfg)
         entry = dict(by_id[rec.subject_id])
         out_name = Path(entry["signal_path"]).with_suffix(".conditioned.csv")
         write_signal_csv(base / out_name, conditioned.samples, conditioned.sample_rate_hz)
@@ -175,15 +142,16 @@ def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
     dataset = load_dataset(args.manifest)
     dataset.require_labels()
     example_set = build_dataset(dataset, cfg)
-    n_features = len(example_set.examples[0].features.values) if example_set.examples else 0
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     header = "subject_id,window_index,day_offset,target_days," + ",".join(
-        f"f_{i:03d}" for i in range(n_features)
+        f"f_{i:03d}" for i in range(example_set.x.shape[1])
     )
-    lines = [header]
-    for sid, widx, day, target, values in iter_feature_rows(example_set):
-        lines.append(f"{sid},{widx},{day},{target:g}," + ",".join(repr(v) for v in values))
+    # Python floats print as the shortest text that reads back to the same value
+    lines = [header] + [
+        f"{fv.subject_id},{fv.window_index},{fv.day_offset},{target:g}," + ",".join(map(repr, row))
+        for fv, target, row in zip(example_set.features, example_set.y.tolist(), example_set.x.tolist())
+    ]
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     outputs = [out_path]
     if args.dump_scalogram:
@@ -194,25 +162,10 @@ def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _dump_scalograms(dataset, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
-    from sproutcast.preprocess import segment
-
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for rec in dataset.recordings:
-        signal = condition(
-            rec,
-            notch_hz=cfg.notch_hz,
-            notch_q=cfg.notch_q,
-            lowpass_hz=cfg.lowpass_hz,
-            lowpass_q=cfg.lowpass_q,
-            target_hz=cfg.target_hz,
-        )
-        windows = segment(signal, cfg.window_seconds)
-        if not windows:
-            continue
-        plan = plan_scales(signal.sample_rate_hz, len(windows[0].samples), cfg.scales, cfg.omega0)
-        for w in windows:
-            tw = cwt(w, plan)
+        for w, tw, _ in iter_transforms(rec, cfg):
             path = out_dir / f"{rec.subject_id}_w{w.window_index:04d}.csv"
             np.savetxt(path, tw.coefficients, delimiter=",", fmt="%.8g")
             written.append(path)
@@ -226,9 +179,9 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
     example_set = build_dataset(dataset, cfg)
     spec = spec_from_config(cfg)
     if cfg.strategy == "ensemble":
-        model = fit_ensemble(example_set.examples, spec, cfg.n_members, feature_layout=example_set.layout)
+        model = fit_ensemble(example_set, spec, cfg.n_members, feature_layout=example_set.layout)
     else:
-        model = fit(example_set.examples, spec, feature_layout=example_set.layout)
+        model = fit(example_set, spec, feature_layout=example_set.layout)
     model_path = Path(args.model_out)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, model_path)

@@ -19,8 +19,40 @@ class ConfigError(ValueError):
     """Raised for malformed config files or inconsistent option values."""
 
 
-# the ensemble's t-interval needs two members; the others count things
-_LOWER_BOUNDS = (("n_members", 2), ("scales", 1), ("jobs", 1), ("rolling_n", 1), ("entropy_bins", 1))
+def _at_least(least: int):
+    return lambda v: v >= least, f"at least {least}"
+
+
+_POSITIVE = (lambda v: v > 0, "positive")
+_FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
+
+# field -> (test, what it asks for); NaN fails every test
+_BOUNDS = {
+    "window_seconds": _POSITIVE,
+    # plan_scales spaces the CWT frequencies over at least two scales
+    "scales": _at_least(2),
+    "omega0": _POSITIVE,
+    "entropy_bins": _at_least(1),
+    "n_trees": _at_least(1),
+    "max_depth": _at_least(1),
+    "learning_rate": _FRACTION,
+    "min_samples_leaf": _at_least(1),
+    "subsample": _FRACTION,
+    # the ensemble's t-interval needs two members
+    "n_members": _at_least(2),
+    "calibration_bin_width": _POSITIVE,
+    "rolling_n": _at_least(1),
+    "jobs": _at_least(1),
+}
+
+
+def check_bounds(obj, names) -> None:
+    """Raise ConfigError for the first of ``names`` whose value on ``obj`` is out of bounds."""
+    for name in names:
+        test, wanted = _BOUNDS[name]
+        value = getattr(obj, name)
+        if not test(value):
+            raise ConfigError(f"{name} must be {wanted}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +66,6 @@ class PipelineConfig:
     window_seconds: int = 86400
     # [wavelet]
     scales: int = 8
-    mother: str = "morlet"
     omega0: float = 6.0
     # [features]
     entropy_bins: int = 64
@@ -64,18 +95,14 @@ class PipelineConfig:
             raise ConfigError("--uq-th is required with --strategy ensemble")
         if self.uq_th is not None and not self.uq_th > 0:
             raise ConfigError("uq_th must be positive")
-        if self.window_seconds <= 0:
-            raise ConfigError("window_seconds must be positive")
         if self.tlag_min > self.tlag_max:
             raise ConfigError("tlag_min must not exceed tlag_max")
-        for name, least in _LOWER_BOUNDS:
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+        check_bounds(self, _BOUNDS)
 
 
 _SECTION_FIELDS = {
     "preprocess": ("notch_hz", "notch_q", "lowpass_hz", "lowpass_q", "target_hz", "window_seconds"),
-    "wavelet": ("scales", "mother", "omega0"),
+    "wavelet": ("scales", "omega0"),
     "features": ("entropy_bins", "time_domain"),
     "regress": ("n_trees", "max_depth", "learning_rate", "min_samples_leaf", "subsample"),
     "train": ("strategy", "uq_th", "n_members", "seed"),
@@ -92,13 +119,13 @@ def _coerce(name: str, raw: str):
         if name == "notch_hz":
             return tuple(float(tok) for tok in raw.split(",") if tok.strip()) if raw else ()
         if ftype == "bool":
-            return raw.lower() in ("1", "true", "yes", "on")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if ftype == "int":
             return int(raw)
         if ftype in ("float", "float | None"):
             return float(raw)
         return raw
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"config option {name!r}: cannot parse {raw!r}") from exc
 
 
@@ -155,6 +182,7 @@ def config_as_dict(cfg: PipelineConfig) -> dict:
 __all__ = [
     "ENV_SEED",
     "ConfigError",
+    "check_bounds",
     "PipelineConfig",
     "load_config_file",
     "resolve_config",

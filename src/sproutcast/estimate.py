@@ -59,32 +59,30 @@ def window_estimates(
     if isinstance(model, Ensemble):
         if uq_th is None:
             raise ValueError("uq_th is required for ensemble predictions")
-        means, halves = ensemble_predict_matrix(model, x)
-        return [
-            WindowEstimate(
-                subject_id=fv.subject_id,
-                window_index=fv.window_index,
-                day_offset=fv.day_offset,
-                y_hat=float(m),
-                d_hat=fv.day_offset + float(m),
-                ci_halfwidth=float(h),
-                retained=bool(2.0 * h <= uq_th),
-            )
-            for fv, m, h in zip(features, means, halves)
-        ]
-    preds = predict_matrix(model, x)
+        y_hat, halves = ensemble_predict_matrix(model, x)
+        halves = halves.tolist()
+        retained = [2.0 * h <= uq_th for h in halves]
+    else:
+        y_hat = predict_matrix(model, x)
+        halves = [None] * len(features)
+        retained = [True] * len(features)
     return [
         WindowEstimate(
             subject_id=fv.subject_id,
             window_index=fv.window_index,
             day_offset=fv.day_offset,
-            y_hat=float(p),
-            d_hat=fv.day_offset + float(p),
-            ci_halfwidth=None,
-            retained=True,
+            y_hat=m,
+            d_hat=fv.day_offset + m,
+            ci_halfwidth=h,
+            retained=r,
         )
-        for fv, p in zip(features, preds)
+        for fv, m, h, r in zip(features, y_hat.tolist(), halves, retained)
     ]
+
+
+def fallback_window(observable: list[WindowEstimate]) -> WindowEstimate:
+    """The window a subject falls back to: the tightest CI, then the lowest window index."""
+    return min(observable, key=lambda e: (np.inf if e.ci_halfwidth is None else e.ci_halfwidth, e.window_index))
 
 
 def aggregate(estimates: list[WindowEstimate], observation_day: float) -> SubjectEstimate:
@@ -114,7 +112,7 @@ def aggregate(estimates: list[WindowEstimate], observation_day: float) -> Subjec
             n_windows_used=len(retained),
             fallback_used=False,
         )
-    best = min(observable, key=lambda e: (np.inf if e.ci_halfwidth is None else e.ci_halfwidth, e.window_index))
+    best = fallback_window(observable)
     return SubjectEstimate(
         subject_id=best.subject_id,
         observation_day=observation_day,
@@ -141,6 +139,7 @@ __all__ = [
     "WindowEstimate",
     "SubjectEstimate",
     "window_estimates",
+    "fallback_window",
     "aggregate",
     "rolling_mean",
 ]

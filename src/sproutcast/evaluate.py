@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from sproutcast.config import PipelineConfig
-from sproutcast.estimate import SubjectEstimate, WindowEstimate, aggregate, rolling_mean, window_estimates
-from sproutcast.features import ExampleSet, FeatureVector, build_dataset
+from sproutcast.estimate import SubjectEstimate, WindowEstimate, aggregate, fallback_window, rolling_mean, window_estimates
+from sproutcast.features import ExampleSet, build_dataset
 from sproutcast.ingest import Dataset
 from sproutcast.regress import fit_arrays, fit_ensemble_arrays, spec_from_config
 
@@ -56,49 +57,35 @@ class EvaluationReport:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class _FoldTask:
-    x: np.ndarray
-    y: np.ndarray
-    groups: np.ndarray
-    subject_ids: list[str]
-    feature_lists: list[list[FeatureVector]]
-    true_days: list[int]
-    layout: str
-    cfg: PipelineConfig
-
-
-def _run_fold(task: _FoldTask, fold: int) -> FoldResult:
-    cfg = task.cfg
-    train = task.groups != fold
+def _run_fold(data: ExampleSet, cfg: PipelineConfig, fold: int) -> FoldResult:
+    train = data.groups != fold
     test = ~train
-    train_ids = {task.subject_ids[g] for g in np.unique(task.groups[train])}
-    held_out = task.subject_ids[fold]
-    if held_out in train_ids:
+    subject_ids = data.subject_ids()
+    held_out = subject_ids[fold]
+    if held_out in {subject_ids[g] for g in np.unique(data.groups[train])}:
         raise RuntimeError(f"leakage: {held_out} present in training subjects")
 
     spec = spec_from_config(cfg, seed=cfg.seed + fold)
     if cfg.strategy == "ensemble":
         model = fit_ensemble_arrays(
-            task.x[train], task.y[train], spec, cfg.n_members, seed=spec.seed, feature_layout=task.layout
+            data.x[train], data.y[train], spec, cfg.n_members, seed=spec.seed, feature_layout=data.layout
         )
     else:
-        model = fit_arrays(task.x[train], task.y[train], spec, feature_layout=task.layout)
+        model = fit_arrays(data.x[train], data.y[train], spec, feature_layout=data.layout)
 
-    estimates = window_estimates(model, task.feature_lists[fold], cfg.uq_th)
-    true_day = task.true_days[fold]
+    estimates = window_estimates(model, [data.features[i] for i in np.flatnonzero(test)], cfg.uq_th)
+    true_day = data.true_day[held_out]
     subject_estimate = aggregate(estimates, observation_day=true_day)
 
-    y_test = task.y[test]
+    y_test = data.y[test]
     per_window = [(float(yy), e.y_hat) for yy, e in zip(y_test, estimates)]
     if subject_estimate.fallback_used:
-        scored = [e for e in estimates if e.day_offset < true_day]
-        best = min(scored, key=lambda e: (np.inf if e.ci_halfwidth is None else e.ci_halfwidth, e.window_index))
-        kept = [(yy, e) for yy, e in zip(y_test, estimates) if e is best]
+        best = fallback_window([e for e in estimates if e.day_offset < true_day])
+        scored = [e is best for e in estimates]
     else:
-        kept = [(yy, e) for yy, e in zip(y_test, estimates) if e.retained]
-    mae_j = float(np.mean([abs(e.y_hat - yy) for yy, e in kept]))
-    baseline = float(np.mean(task.y[train]))
+        scored = [e.retained for e in estimates]
+    mae_j = float(np.mean([abs(e.y_hat - yy) for yy, e, s in zip(y_test, estimates, scored) if s]))
+    baseline = float(np.mean(data.y[train]))
     baseline_mae_j = float(np.mean(np.abs(y_test - baseline)))
     return FoldResult(
         held_out_subject=held_out,
@@ -124,32 +111,16 @@ def loo_cv(data: Dataset | ExampleSet, cfg: PipelineConfig | None = None) -> lis
     if isinstance(data, Dataset):
         data.require_labels()
         data = build_dataset(data, cfg)
-    subject_ids = data.subject_ids()
-    if len(subject_ids) < 2:
+    if len(data.true_day) < 2:
         raise ValueError("leave-one-out evaluation needs at least 2 subjects")
-    x, y, groups = data.matrix()
-    feature_lists = [[] for _ in subject_ids]
-    index = {sid: i for i, sid in enumerate(subject_ids)}
-    for ex in data.examples:
-        feature_lists[index[ex.features.subject_id]].append(ex.features)
-    for sid in subject_ids:
-        if not feature_lists[index[sid]]:
+    for sid, m in data.m_per_subject.items():
+        if not m:
             raise ValueError(f"subject {sid!r} contributed no windows; cannot evaluate")
-    task = _FoldTask(
-        x=x,
-        y=y,
-        groups=groups,
-        subject_ids=subject_ids,
-        feature_lists=feature_lists,
-        true_days=[data.true_day[sid] for sid in subject_ids],
-        layout=data.layout,
-        cfg=cfg,
-    )
-    folds = range(len(subject_ids))
+    folds = range(len(data.true_day))
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(_run_fold, [task] * len(subject_ids), folds))
-    return [_run_fold(task, fold) for fold in folds]
+            return list(pool.map(partial(_run_fold, data, cfg), folds))
+    return [_run_fold(data, cfg, fold) for fold in folds]
 
 
 def tlag_sweep(folds: list[FoldResult], lags: range | None = None) -> list[dict]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from sproutcast.config import PipelineConfig
 from sproutcast.ingest import Dataset, IngestError, Recording
-from sproutcast.preprocess import condition, segment
+from sproutcast.preprocess import SignalWindow, condition, segment
 from sproutcast.wavelet import ScalePlan, TransformedWindow, cwt, plan_scales
 
 FEATURE_NAMES = (
@@ -72,34 +72,35 @@ class FeatureVector:
 
 
 @dataclass(frozen=True)
-class LabeledExample:
-    features: FeatureVector
-    target_days: float
-
-
-@dataclass(frozen=True)
 class ExampleSet:
-    """A supervised dataset: examples plus per-subject bookkeeping.
+    """A supervised dataset, one row per window.
 
-    ``m_per_subject`` holds window counts M_j and ``true_day`` the
-    ground-truth sprouting day offset D_j, both keyed by subject id.
+    Rows are ordered by subject id, then window index.  ``x`` (N, F) holds
+    the feature rows and ``y`` the targets D_j - d_i in days; ``groups``
+    maps each row to its subject's index in ``subject_ids()``, and
+    ``features`` holds each row's FeatureVector.  ``true_day`` is the
+    ground-truth sprouting day offset D_j keyed by subject id.
     """
 
-    examples: list[LabeledExample]
+    x: np.ndarray
+    y: np.ndarray
+    groups: np.ndarray
+    features: list[FeatureVector]
     layout: str
-    m_per_subject: dict[str, int]
     true_day: dict[str, int]
 
     def subject_ids(self) -> list[str]:
-        return sorted(self.m_per_subject)
+        return sorted(self.true_day)
+
+    @property
+    def m_per_subject(self) -> dict[str, int]:
+        """Window counts M_j keyed by subject id."""
+        ids = self.subject_ids()
+        return dict(zip(ids, np.bincount(self.groups, minlength=len(ids)).tolist()))
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (X, y, subject index array) over all examples."""
-        x = np.stack([ex.features.values for ex in self.examples])
-        y = np.array([ex.target_days for ex in self.examples], dtype=np.float64)
-        order = {sid: i for i, sid in enumerate(self.subject_ids())}
-        groups = np.array([order[ex.features.subject_id] for ex in self.examples])
-        return x, y, groups
+        """Return (x, y, groups)."""
+        return self.x, self.y, self.groups
 
 
 def layout_version(k: int, time_domain: bool = False) -> str:
@@ -267,19 +268,21 @@ def build_feature_vector(
     )
 
 
-def extract_subject_features(rec: Recording, cfg: PipelineConfig) -> list[FeatureVector]:
-    """Condition, segment and featurize one recording (no labels needed)."""
-    signal = condition(
-        rec,
-        notch_hz=cfg.notch_hz,
-        notch_q=cfg.notch_q,
-        lowpass_hz=cfg.lowpass_hz,
-        lowpass_q=cfg.lowpass_q,
-        target_hz=cfg.target_hz,
-    )
+def iter_transforms(
+    rec: Recording, cfg: PipelineConfig
+) -> Iterator[tuple[SignalWindow, TransformedWindow, ScalePlan]]:
+    """Condition and segment one recording; yield each window with its |CWT|."""
+    signal = condition(rec, cfg)
     windows = segment(signal, cfg.window_seconds)
     if not windows:
-        return []
+        return
+    plan = plan_scales(signal.sample_rate_hz, len(windows[0].samples), cfg.scales, cfg.omega0)
+    for w in windows:
+        yield w, cwt(w, plan), plan
+
+
+def extract_subject_features(rec: Recording, cfg: PipelineConfig) -> list[FeatureVector]:
+    """Condition, segment and featurize one recording (no labels needed)."""
     if cfg.time_domain:
         return [
             FeatureVector(
@@ -288,22 +291,14 @@ def extract_subject_features(rec: Recording, cfg: PipelineConfig) -> list[Featur
                 day_offset=w.day_offset,
                 values=_feature_row(w.samples, cfg.entropy_bins),
             )
-            for w in windows
+            for w in segment(condition(rec, cfg), cfg.window_seconds)
         ]
-    plan = plan_scales(signal.sample_rate_hz, len(windows[0].samples), cfg.scales, cfg.omega0)
-    vectors = []
-    for w in windows:
-        tw = cwt(w, plan)
-        vectors.append(
-            build_feature_vector(
-                tw,
-                plan,
-                subject_id=w.subject_id,
-                day_offset=w.day_offset,
-                entropy_bins=cfg.entropy_bins,
-            )
+    return [
+        build_feature_vector(
+            tw, plan, subject_id=w.subject_id, day_offset=w.day_offset, entropy_bins=cfg.entropy_bins
         )
-    return vectors
+        for w, tw, plan in iter_transforms(rec, cfg)
+    ]
 
 
 def build_dataset(
@@ -312,15 +307,15 @@ def build_dataset(
 ) -> ExampleSet:
     """Assemble the supervised dataset over all labelled recordings.
 
-    Each retained window becomes one example with target D_j - d_i in whole
-    days.  Output order is deterministic: subjects sorted by id, windows by
+    Each retained window becomes one row with target D_j - d_i in whole
+    days.  Row order is deterministic: subjects sorted by id, windows by
     index.  Accepts any iterable of recordings so large synthetic corpora
     can be streamed one subject at a time.
     """
     cfg = cfg or PipelineConfig()
     if isinstance(recordings, Dataset):
         recordings = recordings.recordings
-    per_subject: dict[str, list[LabeledExample]] = {}
+    per_subject: dict[str, list[FeatureVector]] = {}
     true_day: dict[str, int] = {}
     for rec in recordings:
         if rec.sprouting_day is None:
@@ -328,33 +323,25 @@ def build_dataset(
         if rec.subject_id in per_subject:
             raise IngestError(f"duplicate subject_id {rec.subject_id!r}")
         d_true = rec.sprouting_day_offset
-        examples = []
-        for fv in extract_subject_features(rec, cfg):
-            target = d_true - fv.day_offset
-            if target < 0:
+        vectors = extract_subject_features(rec, cfg)
+        for fv in vectors:
+            if fv.day_offset > d_true:
                 raise IngestError(
                     f"subject {rec.subject_id!r}: window at day {fv.day_offset} is after "
                     f"the sprouting day {d_true}"
                 )
-            examples.append(LabeledExample(features=fv, target_days=float(target)))
-        per_subject[rec.subject_id] = examples
+        per_subject[rec.subject_id] = vectors
         true_day[rec.subject_id] = d_true
-    ordered: list[LabeledExample] = []
-    for sid in sorted(per_subject):
-        ordered.extend(per_subject[sid])
+    ids = sorted(per_subject)
+    features = [fv for sid in ids for fv in per_subject[sid]]
     return ExampleSet(
-        examples=ordered,
+        x=np.stack([fv.values for fv in features]) if features else np.empty((0, 0)),
+        y=np.array([true_day[fv.subject_id] - fv.day_offset for fv in features], dtype=np.float64),
+        groups=np.repeat(np.arange(len(ids)), [len(per_subject[sid]) for sid in ids]),
+        features=features,
         layout=layout_version(cfg.scales, cfg.time_domain),
-        m_per_subject={sid: len(per_subject[sid]) for sid in per_subject},
         true_day=true_day,
     )
-
-
-def iter_feature_rows(example_set: ExampleSet) -> Iterator[tuple]:
-    """Yield (subject_id, window_index, day_offset, target_days, values) rows."""
-    for ex in example_set.examples:
-        fv = ex.features
-        yield fv.subject_id, fv.window_index, fv.day_offset, ex.target_days, fv.values
 
 
 __all__ = [
@@ -362,12 +349,11 @@ __all__ = [
     "FEATURES_PER_SCALE",
     "ScaleFeatures",
     "FeatureVector",
-    "LabeledExample",
     "ExampleSet",
     "layout_version",
     "extract_scale_features",
     "build_feature_vector",
+    "iter_transforms",
     "extract_subject_features",
     "build_dataset",
-    "iter_feature_rows",
 ]

@@ -101,6 +101,20 @@ def _parse_date(value: str, context: str) -> date:
         raise IngestError(f"{context}: invalid ISO-8601 date {value!r}") from exc
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
+def _field(entry: dict, key: str, convert, context: str):
+    """``convert(entry[key])``; a value it rejects raises IngestError naming the field."""
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"{context}: invalid {key} {entry[key]!r}") from exc
+
+
 def read_signal_csv(path: Path) -> np.ndarray:
     """Read one signal CSV and return the voltage column as float64.
 
@@ -161,24 +175,26 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     except json.JSONDecodeError as exc:
         raise IngestError(f"{manifest_path}: invalid JSON ({exc})") from exc
 
-    if not isinstance(manifest, dict) or "subjects" not in manifest:
+    subjects = manifest.get("subjects") if isinstance(manifest, dict) else None
+    if not isinstance(subjects, list):
         raise IngestError(f"{manifest_path}: manifest must be an object with a 'subjects' list")
     label = manifest.get("label", manifest_path.stem)
     base = manifest_path.parent
 
     recordings = []
-    for entry in manifest["subjects"]:
+    for i, entry in enumerate(subjects):
+        if not isinstance(entry, dict):
+            raise IngestError(f"{manifest_path}: subject entry {i} is not an object")
+        context = f"{manifest_path} subject {entry.get('id', i)!r}"
         try:
-            subject_id = entry["id"]
-            context = f"{manifest_path} subject {subject_id!r}"
             sprouting = entry.get("sprouting_day")
             rec = Recording(
-                subject_id=subject_id,
+                subject_id=_field(entry, "id", _string, context),
                 variety=entry["variety"],
-                storage_temp_c=int(entry["storage_temp_c"]),
-                sample_rate_hz=float(entry["sample_rate_hz"]),
+                storage_temp_c=_field(entry, "storage_temp_c", int, context),
+                sample_rate_hz=_field(entry, "sample_rate_hz", float, context),
                 start_day=_parse_date(entry["start_day"], context),
-                samples=read_signal_csv(base / entry["signal_path"]),
+                samples=read_signal_csv(base / _field(entry, "signal_path", _string, context)),
                 sprouting_day=_parse_date(sprouting, context) if sprouting is not None else None,
             )
         except KeyError as exc:

@@ -15,6 +15,7 @@ from datetime import date
 
 import numpy as np
 
+from sproutcast.config import PipelineConfig
 from sproutcast.ingest import Recording
 
 SECONDS_PER_DAY = 86400
@@ -130,22 +131,16 @@ def downsample(signal: ConditionedSignal, target_hz: float) -> ConditionedSignal
     return replace(signal, samples=signal.samples[::step], sample_rate_hz=target_hz)
 
 
-def condition(
-    rec: Recording | ConditionedSignal,
-    notch_hz: tuple[float, ...] = (50.0, 100.0),
-    notch_q: float = 30.0,
-    lowpass_hz: float = 0.4,
-    lowpass_q: float = 0.707,
-    target_hz: float = 1.0,
-) -> ConditionedSignal:
-    """Run the full conditioning chain, or pass through if already at target rate."""
+def condition(rec: Recording | ConditionedSignal, cfg: PipelineConfig | None = None) -> ConditionedSignal:
+    """Run the conditioning chain of ``cfg``, or pass through if already at its target rate."""
+    cfg = cfg or PipelineConfig()
     signal = ConditionedSignal.from_recording(rec) if isinstance(rec, Recording) else rec
-    if math.isclose(signal.sample_rate_hz, target_hz, rel_tol=1e-12):
+    if math.isclose(signal.sample_rate_hz, cfg.target_hz, rel_tol=1e-12):
         return signal
-    for center in notch_hz:
-        signal = notch_filter(signal, center, notch_q)
-    signal = biquad_lowpass(signal, lowpass_hz, lowpass_q)
-    return downsample(signal, target_hz)
+    for center in cfg.notch_hz:
+        signal = notch_filter(signal, center, cfg.notch_q)
+    signal = biquad_lowpass(signal, cfg.lowpass_hz, cfg.lowpass_q)
+    return downsample(signal, cfg.target_hz)
 
 
 def segment(signal: ConditionedSignal, window_seconds: int = SECONDS_PER_DAY) -> list[SignalWindow]:

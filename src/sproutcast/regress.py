@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from sproutcast.config import PipelineConfig
-from sproutcast.features import LabeledExample, FeatureVector
+from sproutcast.config import PipelineConfig, check_bounds
+from sproutcast.features import ExampleSet, FeatureVector
 
 # two-sided 95% Student-t critical value, 9 degrees of freedom
 T_CRIT_975_DF9 = 2.262
@@ -40,16 +40,7 @@ class RegressorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be positive")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be positive")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
+        check_bounds(self, ("n_trees", "max_depth", "learning_rate", "min_samples_leaf", "subsample"))
 
 
 @dataclass
@@ -277,19 +268,6 @@ class _TreeBuilder:
         )
 
 
-def _as_matrix(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
-    if len(examples) < 2:
-        raise ValueError("need at least 2 examples to fit")
-    widths = {len(ex.features.values) for ex in examples}
-    if len(widths) != 1:
-        raise ValueError(f"inconsistent feature lengths: {sorted(widths)}")
-    x = np.stack([ex.features.values for ex in examples]).astype(np.float64)
-    y = np.array([ex.target_days for ex in examples], dtype=np.float64)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("examples contain non-finite values")
-    return x, y
-
-
 def fit_arrays(
     x: np.ndarray,
     y: np.ndarray,
@@ -297,8 +275,12 @@ def fit_arrays(
     feature_layout: str = "",
 ) -> TrainedModel:
     """Boost depth-limited trees on residuals; deterministic given spec.seed."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if len(y) < 2:
         raise ValueError("need at least 2 examples to fit")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("examples contain non-finite values")
     n = len(y)
     base = float(y.mean())
     pred = np.full(n, base)
@@ -328,13 +310,8 @@ def fit_arrays(
     )
 
 
-def fit(
-    examples: Sequence[LabeledExample],
-    spec: RegressorSpec,
-    feature_layout: str = "",
-) -> TrainedModel:
-    x, y = _as_matrix(examples)
-    return fit_arrays(x, y, spec, feature_layout)
+def fit(examples: ExampleSet, spec: RegressorSpec, feature_layout: str = "") -> TrainedModel:
+    return fit_arrays(examples.x, examples.y, spec, feature_layout)
 
 
 def predict_matrix(model: TrainedModel, x: np.ndarray) -> np.ndarray:
@@ -346,18 +323,31 @@ def predict_matrix(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_row(features: FeatureVector | np.ndarray, n_features: int) -> np.ndarray:
+    values = features.values if isinstance(features, FeatureVector) else np.asarray(features)
+    if values.shape != (n_features,):
+        raise ValueError(f"feature length {values.shape} does not match model layout ({n_features})")
+    return values[None, :]
+
+
 def predict(model: TrainedModel, features: FeatureVector | np.ndarray) -> float:
     """Evaluate the boosted sum for one feature vector."""
-    values = features.values if isinstance(features, FeatureVector) else np.asarray(features)
-    if values.shape != (model.n_features,):
-        raise ValueError(
-            f"feature length {values.shape} does not match model layout ({model.n_features})"
-        )
-    return float(predict_matrix(model, values[None, :])[0])
+    return float(predict_matrix(model, _one_row(features, model.n_features))[0])
 
 
 def fit_ensemble(
-    examples: Sequence[LabeledExample],
+    examples: ExampleSet,
+    spec: RegressorSpec,
+    n_members: int = 10,
+    seed: int | None = None,
+    feature_layout: str = "",
+) -> Ensemble:
+    return fit_ensemble_arrays(examples.x, examples.y, spec, n_members, seed, feature_layout)
+
+
+def fit_ensemble_arrays(
+    x: np.ndarray,
+    y: np.ndarray,
     spec: RegressorSpec,
     n_members: int = 10,
     seed: int | None = None,
@@ -369,18 +359,6 @@ def fit_ensemble(
     member u trains with seed + u so members stay decorrelated but the whole
     ensemble is reproducible.
     """
-    x, y = _as_matrix(examples)
-    return fit_ensemble_arrays(x, y, spec, n_members, seed, feature_layout)
-
-
-def fit_ensemble_arrays(
-    x: np.ndarray,
-    y: np.ndarray,
-    spec: RegressorSpec,
-    n_members: int = 10,
-    seed: int | None = None,
-    feature_layout: str = "",
-) -> Ensemble:
     n = len(y)
     needed = n_members * max(2, spec.min_samples_leaf)
     if n < needed:
@@ -426,12 +404,7 @@ def ensemble_predict_matrix(ens: Ensemble, x: np.ndarray) -> tuple[np.ndarray, n
 
 
 def ensemble_predict(ens: Ensemble, features: FeatureVector | np.ndarray) -> tuple[float, float]:
-    values = features.values if isinstance(features, FeatureVector) else np.asarray(features)
-    if values.shape != (ens.n_features,):
-        raise ValueError(
-            f"feature length {values.shape} does not match ensemble layout ({ens.n_features})"
-        )
-    mean, half = ensemble_predict_matrix(ens, values[None, :])
+    mean, half = ensemble_predict_matrix(ens, _one_row(features, ens.n_features))
     return float(mean[0]), float(half[0])
 
 

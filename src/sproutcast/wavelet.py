@@ -32,7 +32,6 @@ class ScalePlan:
     k: int
     frequencies_hz: np.ndarray
     scales: np.ndarray
-    mother: str
     omega0: float
     sample_rate_hz: float
     window_len: int
@@ -51,7 +50,6 @@ def plan_scales(
     window_len: int,
     k: int = DEFAULT_SCALES,
     omega0: float = DEFAULT_OMEGA0,
-    mother: str = "morlet",
 ) -> ScalePlan:
     """Plan K frequencies geometrically spaced over the window's usable band.
 
@@ -59,8 +57,6 @@ def plan_scales(
     per window; a window too short to fit four cycles below half-Nyquist is
     rejected.
     """
-    if mother != "morlet":
-        raise ValueError(f"unsupported mother wavelet {mother!r}")
     if k < 2:
         raise ValueError("k must be at least 2")
     if window_len < 4:
@@ -81,7 +77,6 @@ def plan_scales(
         k=k,
         frequencies_hz=frequencies,
         scales=scales,
-        mother=mother,
         omega0=omega0,
         sample_rate_hz=sample_rate_hz,
         window_len=int(window_len),

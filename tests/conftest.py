@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sproutcast.features import FeatureVector, LabeledExample
+from sproutcast.features import ExampleSet, FeatureVector
 from sproutcast.ingest import Recording
 from sproutcast.preprocess import ConditionedSignal
 from sproutcast.regress import RegressorSpec, TrainedModel
@@ -33,16 +33,17 @@ def make_signal(samples, rate=256.0, subject_id="s"):
 
 
 def make_examples(x, y):
-    """Wrap plain arrays into LabeledExamples for the regressor."""
-    return [
-        LabeledExample(
-            features=FeatureVector(
-                subject_id="t", window_index=i, day_offset=0, values=np.atleast_1d(xi).astype(float)
-            ),
-            target_days=float(yi),
-        )
-        for i, (xi, yi) in enumerate(zip(x, y))
-    ]
+    """Wrap plain arrays into a one-subject ExampleSet for the regressor."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float).reshape(len(y), -1)
+    return ExampleSet(
+        x=x,
+        y=y,
+        groups=np.zeros(len(y), dtype=np.intp),
+        features=[FeatureVector("t", i, 0, row) for i, row in enumerate(x)],
+        layout="",
+        true_day={"t": 0},
+    )
 
 
 def constant_model(value, n_features=1):

@@ -1,9 +1,14 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sproutcast.cli import main
+from sproutcast.cli import build_parser, main
+from sproutcast.config import PipelineConfig, resolve_config
+from sproutcast.features import build_dataset
+from sproutcast.ingest import load_dataset
 
 RATE = 1 / 96  # 900 samples per day: fast but still a real multi-stage pipeline
 
@@ -264,6 +269,41 @@ def test_features_table(synth_dir, config_file, tmp_path):
     assert header[4] == "f_000"
     assert len(header) == 4 + 4 * 14  # scales=4 in the config file
     assert len(lines) > 40
+    # every cell reads back as a float, bit for bit the dataset's feature matrix
+    rows = [line.split(",") for line in lines[1:]]
+    x = np.array([[float(c) for c in r[4:]] for r in rows])
+    es = build_dataset(load_dataset(synth_dir / "manifest.json"), resolve_config(config_file))
+    assert x.tobytes() == es.x.tobytes()
+    assert np.array([float(r[3]) for r in rows]).tobytes() == es.y.tobytes()
+    assert [(r[0], int(r[1]), int(r[2])) for r in rows] == [
+        (fv.subject_id, fv.window_index, fv.day_offset) for fv in es.features
+    ]
+
+
+_MANIFEST_CORRUPTIONS = {
+    "subjects-of-numbers": (lambda m: {**m, "subjects": [1]}, "subject entry 0"),
+    "subjects-is-object": (lambda m: {**m, "subjects": {"a": 1}}, "'subjects' list"),
+    "rate-is-null": (lambda m: _first_subject(m, sample_rate_hz=None), "'p000': invalid sample_rate_hz"),
+    "path-is-number": (lambda m: _first_subject(m, signal_path=5), "'p000': invalid signal_path"),
+    "id-is-list": (lambda m: _first_subject(m, id=["x"]), "['x']: invalid id"),
+    "temp-is-text": (lambda m: _first_subject(m, storage_temp_c="warm"), "'p000': invalid storage_temp_c"),
+}
+
+
+def _first_subject(manifest, **fields):
+    return {**manifest, "subjects": [{**manifest["subjects"][0], **fields}, *manifest["subjects"][1:]]}
+
+
+@pytest.mark.parametrize("case", sorted(_MANIFEST_CORRUPTIONS))
+def test_malformed_manifest_exits_3(case, synth_dir, config_file, tmp_path, capsys):
+    corrupt, named = _MANIFEST_CORRUPTIONS[case]
+    bad = synth_dir / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads((synth_dir / "manifest.json").read_text()))))
+    code = main(["features", "--manifest", str(bad), "--out", str(tmp_path / "f.csv"), "--config", str(config_file)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error[3]: {bad}") and named in err
 
 
 def test_flag_overrides_config_file(synth_dir, config_file, tmp_path):
@@ -349,22 +389,43 @@ def test_features_dump_scalogram(synth_dir, config_file, tmp_path):
     [
         ("train", "n_members", 1),
         ("wavelet", "scales", 0),
+        ("wavelet", "scales", 1),
         ("evaluate", "jobs", 0),
         ("evaluate", "rolling_n", 0),
         ("features", "entropy_bins", 0),
+        ("features", "time_domain", "ture"),
+        ("wavelet", "omega0", -6),
+        ("wavelet", "omega0", 0),
+        ("evaluate", "calibration_bin_width", 0),
+        ("evaluate", "calibration_bin_width", "nan"),
+        ("regress", "n_trees", 0),
+        ("regress", "max_depth", 0),
+        ("regress", "learning_rate", 0),
+        ("regress", "min_samples_leaf", 0),
+        ("regress", "subsample", 0),
     ],
 )
-def test_config_lower_bounds_exit_3(section, option, value, synth_dir, tmp_path, capsys):
+def test_config_lower_bounds_exit_3(section, option, value, tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[{section}]\n{option} = {value}\n")
+    # the manifest does not exist: a bad value must be rejected before any input is read
     code = main(
-        ["evaluate", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "r.json"),
+        ["evaluate", "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "r.json"),
          "--config", str(ini)]
     )
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error[3]:") and option in err
+
+
+def test_every_pipeline_flag_reaches_the_config():
+    io_args = {"manifest", "out", "model", "model_out", "observe_day", "curves_dir", "dump_scalogram", "config"}
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for name in ("preprocess", "features", "train", "predict", "evaluate"):
+        dests = {a.dest for a in commands[name]._actions if not isinstance(a, argparse._HelpAction)}
+        assert not dests - fields - io_args, f"{name}: options that reach neither the config nor I/O"
 
 
 def test_evaluate_flags_reach_config(synth_dir, tmp_path, capsys):

@@ -246,3 +246,27 @@ def test_ensemble_strategy_smoke():
     assert report.strategy == "ensemble"
     for fold in folds:
         assert all(e.ci_halfwidth is not None for e in fold.window_estimates)
+
+
+def test_fallback_fold_scores_the_tightest_window():
+    # a threshold no interval meets: every window is discarded, every subject falls back
+    ds = tiny_dataset(3, days=14)
+    cfg = PipelineConfig(
+        target_hz=RATE,
+        scales=4,
+        n_trees=8,
+        max_depth=2,
+        learning_rate=0.3,
+        min_samples_leaf=1,
+        strategy="ensemble",
+        uq_th=1e-9,
+        seed=1,
+    )
+    for fold in loo_cv(ds, cfg):
+        assert fold.subject_estimate.fallback_used
+        observable = [
+            (e, y) for e, (y, _) in zip(fold.window_estimates, fold.per_window) if e.day_offset < fold.true_day
+        ]
+        best, y = min(observable, key=lambda pair: (pair[0].ci_halfwidth, pair[0].window_index))
+        assert fold.subject_estimate.d_hat == best.d_hat
+        assert fold.mae_j == abs(best.y_hat - y)

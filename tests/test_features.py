@@ -255,9 +255,8 @@ def test_build_dataset_targets_count_down():
     rate = 1 / 864  # 100 samples per day keeps the test fast
     rec = make_recording("p0", days=30, rate=rate, sprout_day=30)
     es = build_dataset(Dataset([rec], "t"), _tiny_cfg(rate))
-    assert len(es.examples) == 30
-    targets = [ex.target_days for ex in es.examples]
-    assert targets == list(map(float, range(30, 0, -1)))
+    assert es.x.shape == (30, 4 * 14)
+    assert es.y.tolist() == list(map(float, range(30, 0, -1)))
     assert es.m_per_subject == {"p0": 30}
     assert es.true_day == {"p0": 30}
 
@@ -266,7 +265,7 @@ def test_build_dataset_short_subject_contributes_nothing():
     rate = 1 / 864
     rec = make_recording("tiny", days=1, rate=rate, samples=np.ones(40), sprout_day=2)
     es = build_dataset(Dataset([rec], "t"), _tiny_cfg(rate))
-    assert es.examples == []
+    assert es.x.shape[0] == len(es.y) == len(es.features) == 0
     assert es.m_per_subject == {"tiny": 0}
 
 
@@ -292,4 +291,4 @@ def test_time_domain_mode_gives_14_features():
     cfg = PipelineConfig(target_hz=rate, scales=4, time_domain=True)
     es = build_dataset(Dataset([rec], "t"), cfg)
     assert es.layout == "time-f14-v1"
-    assert all(ex.features.values.shape == (14,) for ex in es.examples)
+    assert es.x.shape == (5, 14)

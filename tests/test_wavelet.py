@@ -42,8 +42,6 @@ def test_plan_preconditions():
         plan_scales(1.0, 86400, k=1)
     with pytest.raises(ValueError):
         plan_scales(1.0, 3, k=2)
-    with pytest.raises(ValueError, match="mother"):
-        plan_scales(1.0, 86400, k=4, mother="ricker")
 
 
 def test_cwt_zero_window_is_exact_zero():
