@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from sproutcast import __version__
-from sproutcast.config import ConfigError, PipelineConfig, config_as_dict, resolve_config
+from sproutcast.config import ConfigError, PipelineConfig, resolve_config
 from sproutcast.estimate import aggregate, window_estimates
 from sproutcast.evaluate import compute_metrics, loo_cv, report_from_dict, write_curves, write_report
 from sproutcast.features import build_dataset, extract_subject_features, iter_transforms, layout_version
-from sproutcast.ingest import IngestError, day_offset_date, load_dataset, write_dataset, write_signal_csv
+from sproutcast.ingest import IngestError, day_offset_date, load_dataset, read_json, write_dataset, write_json, write_signal_csv
 from sproutcast.preprocess import condition
 from sproutcast.regress import Ensemble, fit, fit_ensemble, load_model, save_model, spec_from_config
 from sproutcast.synth import SynthConfig, generate
@@ -46,10 +46,7 @@ def _write_run_meta(out_dir: Path, command: str, argv: list[str], config: dict, 
         "outputs": [str(p) for p in outputs],
         "version": __version__,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "run_meta.json", meta)
 
 
 def _pipeline_flags(parser: argparse.ArgumentParser, *, training: bool) -> None:
@@ -115,7 +112,7 @@ def cmd_preprocess(args: argparse.Namespace, argv: list[str]) -> int:
     base = manifest_path.parent
     subjects = []
     outputs = []
-    raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    raw = read_json(manifest_path)
     by_id = {entry["id"]: entry for entry in raw["subjects"]}
     for rec in dataset.recordings:
         conditioned = condition(rec, cfg)
@@ -127,12 +124,9 @@ def cmd_preprocess(args: argparse.Namespace, argv: list[str]) -> int:
         subjects.append(entry)
         outputs.append(base / out_name)
     out_manifest = manifest_path.with_suffix(".conditioned.json")
-    out_manifest.write_text(
-        json.dumps({"label": dataset.label, "subjects": subjects}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out_manifest, {"label": dataset.label, "subjects": subjects})
     outputs.append(out_manifest)
-    _write_run_meta(base, "preprocess", argv, config_as_dict(cfg), outputs)
+    _write_run_meta(base, "preprocess", argv, dataclasses.asdict(cfg), outputs)
     print(out_manifest)
     return 0
 
@@ -156,7 +150,7 @@ def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
     outputs = [out_path]
     if args.dump_scalogram:
         outputs += _dump_scalograms(dataset, cfg, Path(args.dump_scalogram))
-    _write_run_meta(out_path.parent, "features", argv, config_as_dict(cfg), outputs)
+    _write_run_meta(out_path.parent, "features", argv, dataclasses.asdict(cfg), outputs)
     print(out_path)
     return 0
 
@@ -183,9 +177,8 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
     else:
         model = fit(example_set, spec, feature_layout=example_set.layout)
     model_path = Path(args.model_out)
-    model_path.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, model_path)
-    _write_run_meta(model_path.parent, "train", argv, config_as_dict(cfg), [model_path])
+    _write_run_meta(model_path.parent, "train", argv, dataclasses.asdict(cfg), [model_path])
     print(model_path)
     return 0
 
@@ -223,9 +216,8 @@ def cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
         print(json.dumps(row, sort_keys=True))
     if args.out:
         out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        _write_run_meta(out_path.parent, "predict", argv, config_as_dict(cfg), [out_path])
+        write_json(out_path, results)
+        _write_run_meta(out_path.parent, "predict", argv, dataclasses.asdict(cfg), [out_path])
     return 0
 
 
@@ -239,16 +231,13 @@ def cmd_evaluate(args: argparse.Namespace, argv: list[str]) -> int:
     outputs = [out_path]
     if args.curves_dir:
         outputs += write_curves(report, Path(args.curves_dir))
-    _write_run_meta(out_path.parent, "evaluate", argv, config_as_dict(cfg), outputs)
+    _write_run_meta(out_path.parent, "evaluate", argv, dataclasses.asdict(cfg), outputs)
     print(out_path)
     return 0
 
 
 def cmd_report(args: argparse.Namespace, argv: list[str]) -> int:
-    path = Path(args.report)
-    if not path.exists():
-        raise FileNotFoundError(f"report not found: {path}")
-    report = report_from_dict(json.loads(path.read_text(encoding="utf-8")), str(path))
+    report = report_from_dict(read_json(args.report), args.report)
     print(f"dataset:   {report.label}  (N={report.n_subjects}, strategy={report.strategy}"
           + (f", uq_th={report.uq_th:g})" if report.uq_th is not None else ")"))
     print(f"MAE:       {report.mae:.3f} days   (constant-mean baseline {report.baseline_mae:.3f})")

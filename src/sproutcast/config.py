@@ -8,6 +8,7 @@ module can take one without importing the CLI.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -28,6 +29,10 @@ _FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
 
 # field -> (test, what it asks for); NaN fails every test
 _BOUNDS = {
+    "notch_q": _POSITIVE,
+    "lowpass_hz": _POSITIVE,
+    "lowpass_q": _POSITIVE,
+    "target_hz": _POSITIVE,
     "window_seconds": _POSITIVE,
     # plan_scales spaces the CWT frequencies over at least two scales
     "scales": _at_least(2),
@@ -46,13 +51,28 @@ _BOUNDS = {
 }
 
 
-def check_bounds(obj, names) -> None:
-    """Raise ConfigError for the first of ``names`` whose value on ``obj`` is out of bounds."""
-    for name in names:
-        test, wanted = _BOUNDS[name]
-        value = getattr(obj, name)
-        if not test(value):
-            raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+def check_bounds(obj) -> None:
+    """Raise ConfigError for the first field of dataclass ``obj`` whose value is out of its bound."""
+    for f in fields(obj):
+        if f.name in _BOUNDS:
+            test, wanted = _BOUNDS[f.name]
+            value = getattr(obj, f.name)
+            if not test(value):
+                raise ConfigError(f"{f.name} must be {wanted}, got {value!r}")
+
+
+def window_width(window_seconds: float, rate_hz: float) -> int:
+    """Samples in one window of ``window_seconds`` at ``rate_hz``.
+
+    The product must be a whole number of at least 2 samples.
+    """
+    exact = window_seconds * rate_hz
+    if not (math.isfinite(exact) and abs(exact - round(exact)) <= 1e-9 and round(exact) >= 2):
+        raise ConfigError(
+            f"window_seconds {window_seconds} at target_hz {rate_hz} is not a whole number "
+            f"of at least 2 samples"
+        )
+    return int(round(exact))
 
 
 @dataclass(frozen=True)
@@ -97,7 +117,8 @@ class PipelineConfig:
             raise ConfigError("uq_th must be positive")
         if self.tlag_min > self.tlag_max:
             raise ConfigError("tlag_min must not exceed tlag_max")
-        check_bounds(self, _BOUNDS)
+        check_bounds(self)
+        window_width(self.window_seconds, self.target_hz)
 
 
 _SECTION_FIELDS = {
@@ -171,20 +192,12 @@ def resolve_config(
         raise ConfigError(str(exc)) from exc
 
 
-def config_as_dict(cfg: PipelineConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 __all__ = [
     "ENV_SEED",
     "ConfigError",
     "check_bounds",
+    "window_width",
     "PipelineConfig",
     "load_config_file",
     "resolve_config",
-    "config_as_dict",
 ]

@@ -10,9 +10,8 @@ constant-mean baseline so null datasets can be recognized.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 from sproutcast.config import PipelineConfig
 from sproutcast.estimate import SubjectEstimate, WindowEstimate, aggregate, fallback_window, rolling_mean, window_estimates
 from sproutcast.features import ExampleSet, build_dataset
-from sproutcast.ingest import Dataset
+from sproutcast.ingest import NUMBER, Dataset, check_fields, is_json_type, write_json
 from sproutcast.regress import fit_arrays, fit_ensemble_arrays, spec_from_config
 
 
@@ -274,30 +273,11 @@ def compute_metrics(
     )
 
 
-def report_to_dict(report: EvaluationReport) -> dict:
-    return {
-        "label": report.label,
-        "strategy": report.strategy,
-        "uq_th": report.uq_th,
-        "n_subjects": report.n_subjects,
-        "mae": report.mae,
-        "esd": report.esd,
-        "baseline_mae": report.baseline_mae,
-        "fallback_count": report.fallback_count,
-        "esd_percentiles": [[p, v] for p, v in report.esd_percentiles],
-        "tlag_curve": report.tlag_curve,
-        "calibration": report.calibration,
-        "variance_decomposition": report.variance_decomposition,
-        "per_subject": report.per_subject,
-    }
-
-
-_NUMBER = (int, float)
-_OPTIONAL_NUMBER = (int, float, type(None))
+_OPTIONAL_NUMBER = (*NUMBER, type(None))
 _REPORT_FIELDS = {
-    "mae": _NUMBER,
-    "esd": _NUMBER,
-    "baseline_mae": _NUMBER,
+    "mae": NUMBER,
+    "esd": NUMBER,
+    "baseline_mae": NUMBER,
     "esd_percentiles": list,
     "tlag_curve": list,
     "calibration": dict,
@@ -309,70 +289,35 @@ _REPORT_FIELDS = {
     "uq_th": _OPTIONAL_NUMBER,
 }
 _TLAG_FIELDS = {"t_lag": int, "mean_esd": _OPTIONAL_NUMBER, "n_subjects": int}
-_CALIBRATION_BIN_FIELDS = {"y_hat_center": _NUMBER, "e_y": _NUMBER, "std_y": _NUMBER, "count": int, "low_support": bool}
-_VARIANCE_FIELDS = {"var_y": _NUMBER, "var_y_hat": _NUMBER, "e_var_y_given_y_hat": _NUMBER}
+_CALIBRATION_BIN_FIELDS = {"y_hat_center": NUMBER, "e_y": NUMBER, "std_y": NUMBER, "count": int, "low_support": bool}
+_VARIANCE_FIELDS = {"var_y": NUMBER, "var_y_hat": NUMBER, "e_var_y_given_y_hat": NUMBER}
 
 
-def _is(value, types) -> bool:
-    """isinstance, except that a JSON true/false is not a number."""
-    types = types if isinstance(types, tuple) else (types,)
-    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
-
-
-def _check_fields(d, fields: dict, where: str) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{where}: expected a JSON object")
-    for key, types in fields.items():
-        if key not in d:
-            raise ValueError(f"{where}: missing key {key!r}")
-        if not _is(d[key], types):
-            raise ValueError(f"{where}: {key} has the wrong type ({type(d[key]).__name__})")
-
-
-def report_from_dict(d: dict, where: str = "report") -> EvaluationReport:
+def report_from_dict(d, where: str = "report") -> EvaluationReport:
     """Rebuild a report written by ``write_report``.
 
     Raises ValueError on a missing key or a value of the wrong type in any
     part that the report viewer or ``write_curves`` reads.
     """
-    _check_fields(d, _REPORT_FIELDS, where)
-    if not isinstance(d.get("label", ""), str):
-        raise ValueError(f"{where}: label has the wrong type ({type(d['label']).__name__})")
+    check_fields(d, _REPORT_FIELDS, where, {"label": str})
     pairs = d["esd_percentiles"]
-    if not all(isinstance(pair, list) and len(pair) == 2 and all(_is(v, _NUMBER) for v in pair) for pair in pairs):
+    if not all(isinstance(pair, list) and len(pair) == 2 and all(is_json_type(v, NUMBER) for v in pair) for pair in pairs):
         raise ValueError(f"{where}: esd_percentiles must be [percentile, value] number pairs")
     if [p for p, _ in pairs] != list(range(101)):
         raise ValueError(f"{where}: esd_percentiles must list percentiles 0 to 100 in order")
     for i, row in enumerate(d["tlag_curve"]):
-        _check_fields(row, _TLAG_FIELDS, f"{where}: tlag_curve[{i}]")
-    _check_fields(d["calibration"], {"bins": list}, f"{where}: calibration")
+        check_fields(row, _TLAG_FIELDS, f"{where}: tlag_curve[{i}]")
+    check_fields(d["calibration"], {"bins": list}, f"{where}: calibration")
     for i, row in enumerate(d["calibration"]["bins"]):
-        _check_fields(row, _CALIBRATION_BIN_FIELDS, f"{where}: calibration bins[{i}]")
-    _check_fields(d["variance_decomposition"], _VARIANCE_FIELDS, f"{where}: variance_decomposition")
-    return EvaluationReport(
-        mae=d["mae"],
-        esd=d["esd"],
-        baseline_mae=d["baseline_mae"],
-        esd_percentiles=[(float(p), float(v)) for p, v in pairs],
-        tlag_curve=d["tlag_curve"],
-        calibration=d["calibration"],
-        variance_decomposition=d["variance_decomposition"],
-        per_subject=d["per_subject"],
-        n_subjects=d["n_subjects"],
-        fallback_count=d["fallback_count"],
-        strategy=d["strategy"],
-        uq_th=d["uq_th"],
-        label=d.get("label", ""),
-    )
+        check_fields(row, _CALIBRATION_BIN_FIELDS, f"{where}: calibration bins[{i}]")
+    check_fields(d["variance_decomposition"], _VARIANCE_FIELDS, f"{where}: variance_decomposition")
+    values = {key: d[key] for key in _REPORT_FIELDS}
+    values["esd_percentiles"] = [(float(p), float(v)) for p, v in pairs]
+    return EvaluationReport(**values, label=d.get("label", ""))
 
 
 def write_report(report: EvaluationReport, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    return write_json(path, asdict(report))
 
 
 def write_curves(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
@@ -419,7 +364,6 @@ __all__ = [
     "calibration_curves",
     "variance_decomposition",
     "compute_metrics",
-    "report_to_dict",
     "report_from_dict",
     "write_report",
     "write_curves",

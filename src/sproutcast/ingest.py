@@ -4,11 +4,18 @@ A dataset lives on disk as one JSON manifest plus one signal CSV per
 subject.  The CSV has a mandatory header ``elapsed_seconds,voltage_volts``;
 all calendar fields are ISO-8601 dates and all internal day arithmetic is
 integer offsets from each recording's start day.
+
+Every JSON file the program reads (manifest, model, report) goes through
+``read_json`` and has its fields checked by ``check_fields``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
+import sys
+import warnings
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -17,6 +24,17 @@ import numpy as np
 
 CSV_HEADER = "elapsed_seconds,voltage_volts"
 _CSV_CHUNK_ROWS = 8192
+
+# the JSON types of a field, as isinstance takes them
+NUMBER = (int, float)
+_SUBJECT_FIELDS = {
+    "id": str,
+    "variety": str,
+    "storage_temp_c": int,
+    "sample_rate_hz": NUMBER,
+    "start_day": str,
+    "signal_path": str,
+}
 
 
 class IngestError(ValueError):
@@ -48,8 +66,8 @@ class Recording:
         if not np.isfinite(samples).all():
             bad = int(np.flatnonzero(~np.isfinite(samples))[0])
             raise IngestError(f"subject {self.subject_id!r}: non-finite sample at index {bad}")
-        if not self.sample_rate_hz > 0:
-            raise IngestError(f"subject {self.subject_id!r}: sample_rate_hz must be positive")
+        if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
+            raise IngestError(f"subject {self.subject_id!r}: sample_rate_hz must be positive and finite")
         if self.sprouting_day is not None and self.sprouting_day < self.start_day:
             raise IngestError(
                 f"subject {self.subject_id!r}: sprouting_day {self.sprouting_day} "
@@ -101,18 +119,69 @@ def _parse_date(value: str, context: str) -> date:
         raise IngestError(f"{context}: invalid ISO-8601 date {value!r}") from exc
 
 
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("not a string")
-    return value
-
-
-def _field(entry: dict, key: str, convert, context: str):
-    """``convert(entry[key])``; a value it rejects raises IngestError naming the field."""
+def _input_file(path: str | Path) -> Path:
+    path = Path(path)
     try:
-        return convert(entry[key])
-    except (TypeError, ValueError) as exc:
-        raise IngestError(f"{context}: invalid {key} {entry[key]!r}") from exc
+        found, regular = path.exists(), path.is_file()
+    except OSError as exc:  # a name too long for the file system, say
+        raise IngestError(f"{path}: {exc.strerror}") from exc
+    if not found:
+        raise FileNotFoundError(f"file not found: {path}")
+    if not regular:
+        raise IngestError(f"{path}: not a file")
+    return path
+
+
+def read_json(path: str | Path):
+    """Parse one JSON input file: a manifest, a model or a report.
+
+    A missing file raises FileNotFoundError; a path that is not a file, or a
+    file that is not UTF-8 JSON, raises IngestError naming the path.
+    """
+    path = _input_file(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError covers bytes that are not UTF-8
+        raise IngestError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def write_json(path: str | Path, obj, indent: int | None = 2) -> Path:
+    """Write ``obj`` as sorted-key JSON and a newline, making its directory; ``indent=None`` is compact."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    separators = (",", ":") if indent is None else None
+    path.write_text(json.dumps(obj, indent=indent, separators=separators, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def is_json_type(value, types: tuple) -> bool:
+    """isinstance, except that a JSON true/false is never a number, and a
+    field that takes floats holds no integer too large for one."""
+    if isinstance(value, bool):
+        return bool in types
+    if isinstance(value, int) and float in types:
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, types)
+
+
+def check_fields(d, fields: dict, where: str, optional: dict | None = None) -> dict:
+    """Return ``d`` once it is a JSON object whose fields have the types given.
+
+    ``fields`` and ``optional`` map each key to its type or tuple of types
+    (see ``is_json_type``); every key of ``fields`` must be present.  A
+    failure raises IngestError naming ``where`` and the key.
+    """
+    if not isinstance(d, dict):
+        raise IngestError(f"{where}: expected a JSON object")
+    for key, types in {**fields, **(optional or {})}.items():
+        types = types if isinstance(types, tuple) else (types,)
+        if key not in d:
+            if key in fields:
+                raise IngestError(f"{where}: missing key {key!r}")
+        elif not is_json_type(d[key], types):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise IngestError(f"{where}: invalid {key} {reprlib.repr(d[key])} (expected {key!r} {names})")
+    return d
 
 
 def read_signal_csv(path: Path) -> np.ndarray:
@@ -122,15 +191,18 @@ def read_signal_csv(path: Path) -> np.ndarray:
     parse as two finite floats.  Row numbers in errors are 1-based and
     include the header.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"signal file not found: {path}")
+    path = _input_file(path)
     with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        try:
+            header = fh.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: not UTF-8 text ({exc})") from exc
         if header != CSV_HEADER:
             raise IngestError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
         try:
-            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body is an error below
+                data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError as exc:
             raise IngestError(f"{path}: malformed CSV row ({exc})") from exc
     if data.size == 0:
@@ -165,42 +237,37 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
 
     Signal paths in the manifest are resolved relative to the manifest's
     directory.  Every invariant of Recording and Dataset is enforced here;
-    failures name the offending subject and file position.
+    each failure names the manifest or signal CSV at fault, and the subject.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{manifest_path}: invalid JSON ({exc})") from exc
-
-    subjects = manifest.get("subjects") if isinstance(manifest, dict) else None
-    if not isinstance(subjects, list):
-        raise IngestError(f"{manifest_path}: manifest must be an object with a 'subjects' list")
-    label = manifest.get("label", manifest_path.stem)
+    manifest = check_fields(read_json(manifest_path), {"subjects": list}, str(manifest_path), {"label": str})
     base = manifest_path.parent
-
-    recordings = []
-    for i, entry in enumerate(subjects):
-        if not isinstance(entry, dict):
-            raise IngestError(f"{manifest_path}: subject entry {i} is not an object")
-        context = f"{manifest_path} subject {entry.get('id', i)!r}"
-        try:
-            sprouting = entry.get("sprouting_day")
-            rec = Recording(
-                subject_id=_field(entry, "id", _string, context),
+    subjects, signal_paths = [], []
+    for i, entry in enumerate(manifest["subjects"]):
+        if isinstance(entry, dict):
+            where = f"{manifest_path} subject {entry.get('id', i)!r}"
+        else:
+            where = f"{manifest_path} subject entry {i}"
+        check_fields(entry, _SUBJECT_FIELDS, where)
+        sprouting = entry.get("sprouting_day")
+        subjects.append(
+            dict(
+                subject_id=entry["id"],
                 variety=entry["variety"],
-                storage_temp_c=_field(entry, "storage_temp_c", int, context),
-                sample_rate_hz=_field(entry, "sample_rate_hz", float, context),
-                start_day=_parse_date(entry["start_day"], context),
-                samples=read_signal_csv(base / _field(entry, "signal_path", _string, context)),
-                sprouting_day=_parse_date(sprouting, context) if sprouting is not None else None,
+                storage_temp_c=entry["storage_temp_c"],
+                sample_rate_hz=float(entry["sample_rate_hz"]),
+                start_day=_parse_date(entry["start_day"], where),
+                sprouting_day=_parse_date(sprouting, where) if sprouting is not None else None,
             )
-        except KeyError as exc:
-            raise IngestError(f"{manifest_path}: subject entry missing field {exc}") from exc
-        recordings.append(rec)
-    return Dataset(recordings=recordings, label=label)
+        )
+        signal_paths.append(base / entry["signal_path"])
+    # every entry is checked before the first CSV is read
+    samples = [read_signal_csv(path) for path in signal_paths]
+    try:
+        recordings = [Recording(samples=x, **fields) for x, fields in zip(samples, subjects)]
+        return Dataset(recordings, manifest.get("label", manifest_path.stem))
+    except IngestError as exc:
+        raise IngestError(f"{manifest_path}: {exc}") from exc
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "manifest.json") -> Path:
@@ -225,12 +292,7 @@ def write_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "m
         if rec.sprouting_day is not None:
             entry["sprouting_day"] = rec.sprouting_day.isoformat()
         subjects.append(entry)
-    manifest_path = out_dir / manifest_name
-    manifest_path.write_text(
-        json.dumps({"label": dataset.label, "subjects": subjects}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return manifest_path
+    return write_json(out_dir / manifest_name, {"label": dataset.label, "subjects": subjects})
 
 
 def day_offset_date(rec: Recording, day_offset: float) -> date:
@@ -241,8 +303,11 @@ def day_offset_date(rec: Recording, day_offset: float) -> date:
 __all__ = [
     "CSV_HEADER",
     "IngestError",
+    "NUMBER",
     "Recording",
     "Dataset",
+    "read_json",
+    "write_json",
     "read_signal_csv",
     "write_signal_csv",
     "load_dataset",

@@ -15,7 +15,7 @@ from datetime import date
 
 import numpy as np
 
-from sproutcast.config import PipelineConfig
+from sproutcast.config import PipelineConfig, window_width
 from sproutcast.ingest import Recording
 
 SECONDS_PER_DAY = 86400
@@ -146,21 +146,12 @@ def condition(rec: Recording | ConditionedSignal, cfg: PipelineConfig | None = N
 def segment(signal: ConditionedSignal, window_seconds: int = SECONDS_PER_DAY) -> list[SignalWindow]:
     """Cut a conditioned signal into non-overlapping windows of fixed length.
 
-    A window holds exactly W = sample_rate * window_seconds samples; the
-    trailing partial window is dropped.  A signal shorter than one window
+    A window holds exactly W = sample_rate * window_seconds samples, a
+    whole number of at least 2 (``window_width``); the trailing partial
+    window is dropped.  A signal shorter than one window
     yields an empty list.
     """
-    if not window_seconds > 0:
-        raise ValueError("window_seconds must be positive")
-    w_exact = signal.sample_rate_hz * window_seconds
-    if abs(w_exact - round(w_exact)) > 1e-9:
-        raise ValueError(
-            f"window of {window_seconds} s is not a whole number of samples at "
-            f"{signal.sample_rate_hz} Hz"
-        )
-    width = int(round(w_exact))
-    if width < 2:
-        raise ValueError("window must span at least 2 samples")
+    width = window_width(window_seconds, signal.sample_rate_hz)
     n_windows = len(signal.samples) // width
     windows = []
     for i in range(1, n_windows + 1):

@@ -11,16 +11,15 @@ to a single self-describing JSON file that reloads bit-identically.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from sproutcast.config import PipelineConfig, check_bounds
 from sproutcast.features import ExampleSet, FeatureVector
+from sproutcast.ingest import NUMBER, check_fields, read_json, write_json
 
 # two-sided 95% Student-t critical value, 9 degrees of freedom
 T_CRIT_975_DF9 = 2.262
@@ -40,18 +39,22 @@ class RegressorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_bounds(self, ("n_trees", "max_depth", "learning_rate", "min_samples_leaf", "subsample"))
+        check_bounds(self)
+
+
+def _array(dtype):
+    return field(metadata={"dtype": dtype})
 
 
 @dataclass
 class Tree:
     """One regression tree as flat arrays; feature == -1 marks a leaf."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
+    feature: np.ndarray = _array(np.int32)
+    threshold: np.ndarray = _array(np.float64)
+    left: np.ndarray = _array(np.int32)
+    right: np.ndarray = _array(np.int32)
+    value: np.ndarray = _array(np.float64)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         node = np.zeros(len(x), dtype=np.int32)
@@ -65,6 +68,10 @@ class Tree:
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
             feat = self.feature[node]
         return self.value[node]
+
+
+# each tree array's name and dtype, in Tree's field order
+_TREE_ARRAYS = {f.name: f.metadata["dtype"] for f in fields(Tree)}
 
 
 @dataclass
@@ -229,43 +236,23 @@ class _SplitSearch:
 class _TreeBuilder:
     def __init__(self, search: _SplitSearch):
         self.search = search
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def _add_node(self) -> int:
-        for arr in (self.feature, self.threshold, self.left, self.right, self.value):
-            arr.append(0)
-        return len(self.feature) - 1
+        # one (feature, threshold, left, right, value) tuple per node, in preorder
+        self.nodes: list[tuple] = []
 
     def grow(self, rows: np.ndarray, block: _Block | None, depth: int = 0) -> int:
-        node = self._add_node()
+        node = len(self.nodes)
+        self.nodes.append(())
         split = None if block is None else self.search.best_split(block, len(rows))
         if split is None:
-            self.feature[node] = -1
-            self.threshold[node] = 0.0
-            self.left[node] = -1
-            self.right[node] = -1
-            self.value[node] = self.search.leaf_value(rows)
+            self.nodes[node] = (-1, 0.0, -1, -1, self.search.leaf_value(rows))
             return node
         f, thr = split
         left, right = self.search.partition(depth, rows, block, f, thr)
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = self.grow(*left, depth + 1)
-        self.right[node] = self.grow(*right, depth + 1)
+        self.nodes[node] = (f, thr, self.grow(*left, depth + 1), self.grow(*right, depth + 1), 0.0)
         return node
 
     def build(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=np.float64),
-        )
+        return Tree(*(np.asarray(col, dtype=dtype) for col, dtype in zip(zip(*self.nodes), _TREE_ARRAYS.values())))
 
 
 def fit_arrays(
@@ -409,33 +396,29 @@ def ensemble_predict(ens: Ensemble, features: FeatureVector | np.ndarray) -> tup
 
 
 def spec_from_config(cfg: PipelineConfig, seed: int | None = None) -> RegressorSpec:
-    return RegressorSpec(
-        n_trees=cfg.n_trees,
-        max_depth=cfg.max_depth,
-        learning_rate=cfg.learning_rate,
-        min_samples_leaf=cfg.min_samples_leaf,
-        subsample=cfg.subsample,
-        seed=cfg.seed if seed is None else seed,
-    )
+    """The spec holding ``cfg``'s values of its fields, with ``seed`` in place of cfg.seed if given."""
+    spec = RegressorSpec(**{f.name: getattr(cfg, f.name) for f in fields(RegressorSpec)})
+    return spec if seed is None else replace(spec, seed=seed)
 
 
-def _tree_to_dict(tree: Tree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-    }
+# the keys every model file, and every ensemble member in one, starts with
+_HEADER_FIELDS = {"kind": str, "format_version": int, "feature_layout": str, "n_features": int, "spec": dict}
+_KIND_FIELDS = {
+    "single": {"base_prediction": NUMBER, "trees": list},
+    "ensemble": {"n_members": int, "members": list},
+}
 
 
-def _require(d, keys: Sequence[str], where: str) -> dict:
-    if not isinstance(d, dict):
-        raise ValueError(f"{where}: expected a JSON object")
-    missing = [k for k in keys if k not in d]
-    if missing:
-        raise ValueError(f"{where}: missing key(s) {', '.join(missing)}")
-    return d
+def _to_dict(model: TrainedModel | Ensemble) -> dict:
+    """The JSON form of a model: its header and body values, in table order."""
+    kind = "ensemble" if isinstance(model, Ensemble) else "single"
+    header = (kind, MODEL_FORMAT_VERSION, model.feature_layout_version, model.n_features, asdict(model.spec))
+    if kind == "ensemble":
+        body = (len(model.members), [_to_dict(m) for m in model.members])
+    else:
+        trees = [{name: getattr(t, name).tolist() for name in _TREE_ARRAYS} for t in model.trees]
+        body = (model.base_prediction, trees)
+    return dict(zip([*_HEADER_FIELDS, *_KIND_FIELDS[kind]], [*header, *body]))
 
 
 def _tree_from_dict(d: dict, n_features: int, where: str) -> Tree:
@@ -444,20 +427,15 @@ def _tree_from_dict(d: dict, n_features: int, where: str) -> Tree:
     grow writes nodes in preorder, so every child index is greater than its
     parent's; checking that keeps a corrupt file from looping forever.
     """
-    _require(d, ("feature", "threshold", "left", "right", "value"), where)
+    check_fields(d, dict.fromkeys(_TREE_ARRAYS, list), where)
+    if not all(type(v) is int for name, dtype in _TREE_ARRAYS.items() if dtype is np.int32 for v in d[name]):
+        raise ValueError(f"{where}: an integer tree array holds a value that is not an integer")
     try:
-        tree = Tree(
-            feature=np.asarray(d["feature"], dtype=np.int32),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int32),
-            right=np.asarray(d["right"], dtype=np.int32),
-            value=np.asarray(d["value"], dtype=np.float64),
-        )
+        tree = Tree(**{name: np.asarray(d[name], dtype=dtype) for name, dtype in _TREE_ARRAYS.items()})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
     n = len(tree.feature) if tree.feature.ndim == 1 else 0
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    if n == 0 or any(a.shape != (n,) for a in arrays):
+    if n == 0 or any(getattr(tree, name).shape != (n,) for name in _TREE_ARRAYS):
         raise ValueError(f"{where}: tree arrays must be flat lists of one equal, non-zero length")
     if ((tree.feature < -1) | (tree.feature >= n_features)).any():
         raise ValueError(f"{where}: feature index outside [-1, {n_features})")
@@ -468,96 +446,51 @@ def _tree_from_dict(d: dict, n_features: int, where: str) -> Tree:
     return tree
 
 
-def _spec_to_dict(spec: RegressorSpec) -> dict:
-    return {
-        "n_trees": spec.n_trees,
-        "max_depth": spec.max_depth,
-        "learning_rate": spec.learning_rate,
-        "min_samples_leaf": spec.min_samples_leaf,
-        "subsample": spec.subsample,
-        "seed": spec.seed,
-    }
-
-
-def _model_to_dict(model: TrainedModel) -> dict:
-    return {
-        "kind": "single",
-        "format_version": MODEL_FORMAT_VERSION,
-        "feature_layout": model.feature_layout_version,
-        "n_features": model.n_features,
-        "spec": _spec_to_dict(model.spec),
-        "base_prediction": model.base_prediction,
-        "trees": [_tree_to_dict(t) for t in model.trees],
-    }
-
-
-def _header_from_dict(d: dict, keys: Sequence[str], where: str) -> tuple[RegressorSpec, int]:
-    """Spec and n_features of a model or ensemble dict that also holds ``keys``."""
-    _require(d, ("spec", "feature_layout", "n_features", *keys), where)
-    spec = _require(d["spec"], (), f"{where}: spec")
+def _from_dict(d, where: str, kinds: tuple[str, ...]) -> TrainedModel | Ensemble:
+    """Rebuild a model of one of ``kinds`` from its JSON form, checking every field."""
+    check_fields(d, _HEADER_FIELDS, where)
+    kind, version, layout, n_features, spec = (d[key] for key in _HEADER_FIELDS)
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{where}: unsupported model format version {version!r}")
+    if kind not in kinds:
+        raise ValueError(f"{where}: unexpected model kind {kind!r}")
     try:
-        return RegressorSpec(**spec), int(d["n_features"])
+        spec = RegressorSpec(**spec)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def _model_from_dict(d: dict, where: str) -> TrainedModel:
-    spec, n_features = _header_from_dict(d, ("base_prediction", "trees"), where)
-    if not isinstance(d["trees"], list):
-        raise ValueError(f"{where}: trees must be a list")
-    try:
-        base = float(d["base_prediction"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: base_prediction: {exc}") from exc
+        raise ValueError(f"{where}: spec: {exc}") from exc
+    check_fields(d, _KIND_FIELDS[kind], where)
+    if kind == "ensemble":
+        # the t-interval needs two members
+        if not 2 <= len(d["members"]) == d["n_members"]:
+            raise ValueError(f"{where}: members must hold n_members models, at least 2")
+        return Ensemble(
+            members=[_from_dict(m, f"{where}: member {u}", ("single",)) for u, m in enumerate(d["members"])],
+            subset_assignment=np.array([], dtype=np.int32),
+            spec=spec,
+            feature_layout_version=layout,
+            n_features=n_features,
+        )
     return TrainedModel(
         spec=spec,
         trees=[_tree_from_dict(t, n_features, f"{where}: tree {i}") for i, t in enumerate(d["trees"])],
-        base_prediction=base,
-        feature_layout_version=d["feature_layout"],
+        base_prediction=float(d["base_prediction"]),
+        feature_layout_version=layout,
         n_features=n_features,
     )
 
 
 def save_model(model: TrainedModel | Ensemble, path: str | Path) -> Path:
     """Serialize a model or ensemble to one deterministic JSON file."""
-    if isinstance(model, Ensemble):
-        payload = {
-            "kind": "ensemble",
-            "format_version": MODEL_FORMAT_VERSION,
-            "feature_layout": model.feature_layout_version,
-            "n_features": model.n_features,
-            "spec": _spec_to_dict(model.spec),
-            "n_members": len(model.members),
-            "members": [_model_to_dict(m) for m in model.members],
-        }
-    else:
-        payload = _model_to_dict(model)
-    path = Path(path)
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
-    return path
+    return write_json(path, _to_dict(model), indent=None)
 
 
 def load_model(path: str | Path) -> TrainedModel | Ensemble:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"model file not found: {path}")
-    d = _require(json.loads(path.read_text(encoding="utf-8")), ("kind",), str(path))
-    if d.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {d.get('format_version')!r}")
-    if d["kind"] == "single":
-        return _model_from_dict(d, str(path))
-    if d["kind"] == "ensemble":
-        spec, n_features = _header_from_dict(d, ("members",), str(path))
-        if not isinstance(d["members"], list):
-            raise ValueError(f"{path}: members must be a list")
-        return Ensemble(
-            members=[_model_from_dict(m, f"{path}: member {u}") for u, m in enumerate(d["members"])],
-            subset_assignment=np.array([], dtype=np.int32),
-            spec=spec,
-            feature_layout_version=d["feature_layout"],
-            n_features=n_features,
-        )
-    raise ValueError(f"{path}: unknown model kind {d['kind']!r}")
+    """Read a model file written by ``save_model``, checking every field.
+
+    A loaded ensemble's ``subset_assignment`` is empty: the file does not
+    keep the training partition, which prediction never reads.
+    """
+    return _from_dict(read_json(path), str(path), ("single", "ensemble"))
 
 
 __all__ = [

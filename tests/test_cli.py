@@ -287,6 +287,8 @@ _MANIFEST_CORRUPTIONS = {
     "path-is-number": (lambda m: _first_subject(m, signal_path=5), "'p000': invalid signal_path"),
     "id-is-list": (lambda m: _first_subject(m, id=["x"]), "['x']: invalid id"),
     "temp-is-text": (lambda m: _first_subject(m, storage_temp_c="warm"), "'p000': invalid storage_temp_c"),
+    "temp-is-fractional": (lambda m: _first_subject(m, storage_temp_c=8.7), "'p000': invalid storage_temp_c"),
+    "label-is-number": (lambda m: {**m, "label": 7}, "invalid label"),
 }
 
 
@@ -304,6 +306,64 @@ def test_malformed_manifest_exits_3(case, synth_dir, config_file, tmp_path, caps
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error[3]: {bad}") and named in err
+
+
+def _set_signal_path(data, signal_path):
+    (data / "sub").mkdir()  # a directory for the manifest to name
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps(_first_subject(manifest, signal_path=signal_path)))
+    return data / signal_path
+
+
+def _garble_signal(data, offset):
+    csv = data / "p000.csv"
+    raw = bytearray(csv.read_bytes())
+    raw[offset] = 0xFF  # never valid in UTF-8
+    csv.write_bytes(bytes(raw))
+    return csv
+
+
+def _empty_signal(data):
+    csv = data / "p000.csv"
+    csv.write_text("elapsed_seconds,voltage_volts\n")
+    return csv
+
+
+# case -> corrupt(data dir), which returns the path the error must name
+_UNREADABLE_SIGNALS = {
+    "path-is-directory": lambda d: _set_signal_path(d, "sub"),
+    "path-is-empty": lambda d: _set_signal_path(d, ""),
+    "path-too-long": lambda d: _set_signal_path(d, "x" * 5000),
+    "body-is-empty": _empty_signal,
+    "header-not-utf8": lambda d: _garble_signal(d, 0),
+    "row-not-utf8": lambda d: _garble_signal(d, -3),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print beside the one error line
+@pytest.mark.parametrize("case", sorted(_UNREADABLE_SIGNALS))
+def test_unreadable_signal_names_its_file(case, synth_dir, config_file, tmp_path, capsys):
+    named = _UNREADABLE_SIGNALS[case](synth_dir)
+    manifest = synth_dir / "manifest.json"
+    code = main(["features", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv"), "--config", str(config_file)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error[3]: {named}: ")
+
+
+@pytest.mark.parametrize("flag", ["--model", "--report"])
+def test_non_json_file_names_itself(flag, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text('{"kind": ')
+    if flag == "--model":  # the model is read before the manifest
+        code = main(["predict", "--model", str(path), "--manifest", str(tmp_path / "missing.json")])
+    else:
+        code = main(["report", "--report", str(path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error[3]: {path}: invalid JSON")
 
 
 def test_flag_overrides_config_file(synth_dir, config_file, tmp_path):
@@ -403,6 +463,9 @@ def test_features_dump_scalogram(synth_dir, config_file, tmp_path):
         ("regress", "learning_rate", 0),
         ("regress", "min_samples_leaf", 0),
         ("regress", "subsample", 0),
+        ("preprocess", "target_hz", 0),
+        ("preprocess", "target_hz", 0.142857),  # 86400 s is not a whole number of samples
+        ("preprocess", "lowpass_q", -1),
     ],
 )
 def test_config_lower_bounds_exit_3(section, option, value, tmp_path, capsys):
@@ -470,13 +533,15 @@ def _corrupt(case, payload):
         tree["right"][0] = 0  # would send Tree.predict round the root forever
     elif case == "feature-out-of-range":
         tree["feature"][0] = payload["n_features"]
+    elif case == "feature-is-fractional":
+        tree["feature"][0] += 0.5  # would load as the integer below it
     return payload
 
 
 @pytest.mark.parametrize(
     "case",
     ["missing-kind", "missing-spec", "missing-trees", "missing-tree-key", "unequal-lengths",
-     "child-out-of-range", "child-loops-back", "feature-out-of-range"],
+     "child-out-of-range", "child-loops-back", "feature-out-of-range", "feature-is-fractional"],
 )
 def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsys):
     flags, payload = model_payload

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -178,10 +179,18 @@ def test_ensemble_file_round_trip(tmp_path, rng):
     x = rng.normal(size=(60, 2))
     y = x[:, 1]
     ens = fit_ensemble(make_examples(x, y), RegressorSpec(n_trees=5, min_samples_leaf=1, seed=9), seed=9)
-    loaded = load_model(save_model(ens, tmp_path / "ens.json"))
+    path = save_model(ens, tmp_path / "ens.json")
+    loaded = load_model(path)
     assert isinstance(loaded, Ensemble)
+    assert loaded.subset_assignment.size == 0  # the file does not keep the training partition
     for row in x[:5]:
         assert ensemble_predict(loaded, row) == ensemble_predict(ens, row)
+    # a file whose members are fewer than two, or than it declares, is refused
+    payload = json.loads(path.read_text())
+    for members, n_members in ((payload["members"][:1], 1), (payload["members"][:4], 10)):
+        path.write_text(json.dumps({**payload, "members": members, "n_members": n_members}))
+        with pytest.raises(ValueError, match="n_members"):
+            load_model(path)
 
 
 def test_spec_validation():
