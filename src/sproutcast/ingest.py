@@ -3,7 +3,9 @@
 A dataset lives on disk as one JSON manifest plus one signal CSV per
 subject.  The CSV has a mandatory header ``elapsed_seconds,voltage_volts``;
 all calendar fields are ISO-8601 dates and all internal day arithmetic is
-integer offsets from each recording's start day.
+integer offsets from each recording's start day.  Beside each CSV a binary
+sidecar caches its voltages, so a CSV is parsed at most once (see
+``read_signal_csv``).
 
 Every JSON file the program reads (manifest, model, report) goes through
 ``read_json`` and has its fields checked by ``check_fields``.
@@ -11,8 +13,11 @@ Every JSON file the program reads (manifest, model, report) goes through
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import math
+import os
 import reprlib
 import sys
 import warnings
@@ -24,6 +29,13 @@ import numpy as np
 
 CSV_HEADER = "elapsed_seconds,voltage_volts"
 _CSV_CHUNK_ROWS = 8192
+# a signal CSV's sidecar: magic, SHA-256 of the CSV's bytes, SHA-256 of the
+# payload, then the payload, the voltages as little-endian float64
+SIDECAR_SUFFIX = ".f8"
+_SIDECAR_MAGIC = b"sproutcast-f8-v1"
+_SIDECAR_HEAD = len(_SIDECAR_MAGIC) + 64
+# the buffer a CSV is hashed through
+_READ_BLOCK = 1 << 16
 
 # the JSON types of a field, as isinstance takes them
 NUMBER = (int, float)
@@ -184,15 +196,74 @@ def check_fields(d, fields: dict, where: str, optional: dict | None = None) -> d
     return d
 
 
-def read_signal_csv(path: Path) -> np.ndarray:
-    """Read one signal CSV and return the voltage column as float64.
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(path.name + SIDECAR_SUFFIX)
 
-    The header row is mandatory and checked verbatim; every data row must
-    parse as two finite floats.  Row numbers in errors are 1-based and
-    include the header.
+
+def _voltages_fault(voltages: np.ndarray) -> str | None:
+    """Why ``voltages`` cannot be a signal's samples, or None if they can."""
+    if voltages.size == 0:
+        return "no samples after header"
+    if not np.isfinite(voltages).all():
+        return f"non-finite voltage at row {int(np.flatnonzero(~np.isfinite(voltages))[0]) + 2}"
+    return None
+
+
+def _file_digest(path: Path) -> bytes:
+    """SHA-256 of the file's bytes, read through one small fixed buffer."""
+    sha = hashlib.sha256()
+    buf = bytearray(_READ_BLOCK)
+    view = memoryview(buf)
+    with path.open("rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            sha.update(view[:n])
+    return sha.digest()
+
+
+def _read_sidecar(sidecar: Path, digest: bytes) -> np.ndarray | None:
+    """The voltages of the sidecar if it was made from a CSV of ``digest`` and is whole, else None.
+
+    The payload is read straight into the returned array, never through a
+    bytes copy of the file.
     """
-    path = _input_file(path)
-    with path.open("r", encoding="utf-8") as fh:
+    try:
+        with sidecar.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size - _SIDECAR_HEAD
+            if size <= 0 or size % 8:
+                return None
+            head = fh.read(_SIDECAR_HEAD)
+            voltages = np.empty(size // 8, dtype="<f8")
+            if fh.readinto(memoryview(voltages).cast("B")) != size or fh.read(1):
+                return None  # the file changed while it was read
+    except OSError:  # missing, a directory, unreadable
+        return None
+    if head != _SIDECAR_MAGIC + digest + hashlib.sha256(voltages).digest():
+        return None
+    voltages = voltages.astype(np.float64, copy=False)
+    return voltages if _voltages_fault(voltages) is None else None
+
+
+def _write_sidecar(sidecar: Path, digest: bytes, voltages: np.ndarray) -> None:
+    """Replace the sidecar atomically; a sidecar that cannot be written is left out."""
+    payload = np.ascontiguousarray(voltages, dtype="<f8")
+    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(_SIDECAR_MAGIC + digest + hashlib.sha256(payload).digest())
+            fh.write(memoryview(payload).cast("B"))
+        os.replace(tmp, sidecar)
+    except OSError:  # a read-only directory, a directory in the sidecar's place
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
+def _parse_signal_csv(path: Path) -> np.ndarray:
+    """The voltage column of the CSV at ``path``, every row checked."""
+    try:
+        fh = path.open("r", encoding="utf-8")
+    except OSError as exc:
+        raise IngestError(f"{path}: {exc.strerror}") from exc
+    with fh:
         try:
             header = fh.readline().strip()
         except UnicodeDecodeError as exc:
@@ -202,34 +273,73 @@ def read_signal_csv(path: Path) -> np.ndarray:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # an empty body is an error below
-                data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
         except ValueError as exc:
             raise IngestError(f"{path}: malformed CSV row ({exc})") from exc
     if data.size == 0:
         raise IngestError(f"{path}: no samples after header")
     if data.shape[1] != 2:
         raise IngestError(f"{path}: expected 2 columns, got {data.shape[1]}")
-    voltages = data[:, 1]
-    if not np.isfinite(voltages).all():
-        row = int(np.flatnonzero(~np.isfinite(voltages))[0]) + 2
-        raise IngestError(f"{path}: non-finite voltage at row {row}")
+    voltages = np.ascontiguousarray(data[:, 1])
+    fault = _voltages_fault(voltages)
+    if fault is not None:
+        raise IngestError(f"{path}: {fault}")
+    return voltages
+
+
+def read_signal_csv(path: Path) -> np.ndarray:
+    """Read one signal CSV and return the voltage column as float64.
+
+    The header row is mandatory and checked verbatim; every data row must
+    hold two floats, the voltage finite, and nothing else (a ``#`` is no
+    comment); blank lines are skipped.  Row numbers in errors are 1-based
+    and include the header.
+
+    The voltages of a parsed CSV are kept in a sidecar beside it, named
+    ``<csv name>.f8``, with the SHA-256 of the CSV's bytes.  A read takes
+    them from there, without parsing, only when that digest matches and the
+    sidecar is whole; otherwise it parses the CSV and rewrites the sidecar.
+    The CSV is hashed and parsed as a stream and never held whole in memory:
+    a whole-file buffer made peak memory depend on the order of file sizes.
+    """
+    path = _input_file(path)
+    try:
+        digest = _file_digest(path)
+    except OSError as exc:
+        raise IngestError(f"{path}: {exc.strerror}") from exc
+    sidecar = _sidecar_path(path)
+    voltages = _read_sidecar(sidecar, digest)
+    if voltages is None:
+        voltages = _parse_signal_csv(path)
+        with contextlib.suppress(OSError):
+            if _file_digest(path) == digest:  # the CSV was not rewritten while it was parsed
+                _write_sidecar(sidecar, digest, voltages)
     return voltages
 
 
 def write_signal_csv(path: Path, samples: np.ndarray, sample_rate_hz: float) -> None:
-    """Write a signal CSV that round-trips float64 voltages exactly.
+    """Write a signal CSV that round-trips float64 voltages exactly, and its sidecar.
 
     The bytes are those of ``np.savetxt(fh, rows, delimiter=",", fmt="%.17g")``;
     each chunk of rows is formatted by one ``%`` on a repeated row format.
+    The sidecar (see ``read_signal_csv``) is written only for samples a read
+    would accept.
     """
+    path = Path(path)
     samples = np.asarray(samples, dtype=np.float64)
     elapsed = np.arange(len(samples), dtype=np.float64) / sample_rate_hz
     rows = np.column_stack([elapsed, samples])
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
+    header = (CSV_HEADER + "\n").encode()
+    digest = hashlib.sha256(header)
+    with path.open("wb") as fh:
+        fh.write(header)
         for start in range(0, len(rows), _CSV_CHUNK_ROWS):
             chunk = rows[start : start + _CSV_CHUNK_ROWS]
-            fh.write(("%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+            data = (("%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist())).encode()
+            digest.update(data)
+            fh.write(data)
+    if _voltages_fault(samples) is None:
+        _write_sidecar(_sidecar_path(path), digest.digest(), samples)
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:

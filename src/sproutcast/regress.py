@@ -463,8 +463,16 @@ def _from_dict(d, where: str, kinds: tuple[str, ...]) -> TrainedModel | Ensemble
         # the t-interval needs two members
         if not 2 <= len(d["members"]) == d["n_members"]:
             raise ValueError(f"{where}: members must hold n_members models, at least 2")
+        members = [_from_dict(m, f"{where}: member {u}", ("single",)) for u, m in enumerate(d["members"])]
+        for u, member in enumerate(members):
+            header = (member.feature_layout_version, member.n_features)
+            if header != (layout, n_features):
+                raise ValueError(
+                    f"{where}: member {u}: (feature_layout, n_features) {header} differs from the ensemble's "
+                    f"{(layout, n_features)}"
+                )
         return Ensemble(
-            members=[_from_dict(m, f"{where}: member {u}", ("single",)) for u, m in enumerate(d["members"])],
+            members=members,
             subset_assignment=np.array([], dtype=np.int32),
             spec=spec,
             feature_layout_version=layout,

@@ -329,6 +329,14 @@ def _empty_signal(data):
     return csv
 
 
+def _insert_row(data, row):
+    """Put ``row`` after the first sample row of p000.csv, whose sidecar then no longer matches."""
+    csv = data / "p000.csv"
+    header, first, rest = csv.read_bytes().split(b"\n", 2)
+    csv.write_bytes(b"\n".join([header, first, row, rest]))
+    return csv
+
+
 # case -> corrupt(data dir), which returns the path the error must name
 _UNREADABLE_SIGNALS = {
     "path-is-directory": lambda d: _set_signal_path(d, "sub"),
@@ -337,6 +345,8 @@ _UNREADABLE_SIGNALS = {
     "body-is-empty": _empty_signal,
     "header-not-utf8": lambda d: _garble_signal(d, 0),
     "row-not-utf8": lambda d: _garble_signal(d, -3),
+    "comment-row": lambda d: _insert_row(d, b"# sensor rebooted"),
+    "trailing-comment": lambda d: _insert_row(d, b"1.5,0.25 # x"),
 }
 
 
@@ -535,13 +545,20 @@ def _corrupt(case, payload):
         tree["feature"][0] = payload["n_features"]
     elif case == "feature-is-fractional":
         tree["feature"][0] += 0.5  # would load as the integer below it
+    elif case.startswith("member-"):  # an ensemble of the model and a member whose header differs
+        member = {**payload, "feature_layout": "time-v9"}
+        if case == "member-width-differs":
+            member["n_features"] = 500
+        header = {key: payload[key] for key in ("format_version", "feature_layout", "n_features", "spec")}
+        payload = {**header, "kind": "ensemble", "n_members": 2, "members": [payload, member]}
     return payload
 
 
 @pytest.mark.parametrize(
     "case",
     ["missing-kind", "missing-spec", "missing-trees", "missing-tree-key", "unequal-lengths",
-     "child-out-of-range", "child-loops-back", "feature-out-of-range", "feature-is-fractional"],
+     "child-out-of-range", "child-loops-back", "feature-out-of-range", "feature-is-fractional",
+     "member-layout-differs", "member-width-differs"],
 )
 def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsys):
     flags, payload = model_payload
@@ -552,6 +569,8 @@ def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error[3]: {path}")
+    if case.startswith("member-"):
+        assert err.startswith(f"error[3]: {path}: member 1: ")
 
 
 def test_predict_accepts_uncorrupted_model_file(model_payload, tmp_path, capsys):

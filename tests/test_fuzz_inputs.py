@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sproutcast.cli import main
 from sproutcast.config import PipelineConfig
 from sproutcast.evaluate import compute_metrics, loo_cv, write_report
-from sproutcast.ingest import Dataset, load_dataset, read_signal_csv, write_dataset
+from sproutcast.ingest import SIDECAR_SUFFIX, Dataset, load_dataset, read_signal_csv, write_dataset
 from sproutcast.regress import (
     Ensemble,
     RegressorSpec,
@@ -130,9 +130,20 @@ def test_fuzzed_signal_csv(corpus, data):
     lines[i : i + data.draw(st.integers(0, 1))] = [line] if data.draw(st.booleans()) else []
     path = corpus.parent / "fuzzed.csv"
     path.write_bytes(data.draw(corrupted_bytes(b"\n".join(lines))))
-    samples = _rejects_cleanly(read_signal_csv, path)
-    if samples is not None:
-        assert samples.ndim == 1 and samples.size and np.isfinite(samples).all()
+    sidecar = path.with_name(path.name + SIDECAR_SUFFIX)
+    sidecar.unlink(missing_ok=True)
+    # the first read parses and writes the sidecar, the second takes its voltages from it
+    outcomes = []
+    for _ in range(2):
+        try:
+            samples = read_signal_csv(path)
+        except (ValueError, FileNotFoundError) as exc:
+            outcomes.append(repr(exc))
+        else:
+            assert samples.ndim == 1 and samples.size and np.isfinite(samples).all()
+            outcomes.append(samples.tobytes())
+    assert outcomes[0] == outcomes[1]
+    assert sidecar.exists() == isinstance(outcomes[0], bytes)
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,15 @@
+import hashlib
 import json
+import tracemalloc
 from datetime import date
 
 import numpy as np
 import pytest
 
+from sproutcast import ingest
 from sproutcast.ingest import (
     CSV_HEADER,
+    SIDECAR_SUFFIX,
     Dataset,
     IngestError,
     Recording,
@@ -166,3 +170,168 @@ def test_signal_csv_bytes_match_savetxt(tmp_path, rate, n):
         elapsed = np.arange(n, dtype=np.float64) / rate
         np.savetxt(fh, np.column_stack([elapsed, samples]), delimiter=",", fmt="%.17g")
     assert ours.read_bytes() == reference.read_bytes()
+
+
+def _sidecar(path):
+    return path.with_name(path.name + SIDECAR_SUFFIX)
+
+
+def _edge_samples(n):
+    """n voltages led by signed zeros, subnormals and values near ±1e±300."""
+    rng = np.random.default_rng(n)
+    samples = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    edges = [-0.0, 0.0, 5e-324, -2.5e-320, 1e300, -1e300, 1e-300, -1e-300]
+    samples[: min(n, len(edges))] = edges[: min(n, len(edges))]
+    return samples
+
+
+def _parses(monkeypatch):
+    """Count the CSV parses that read_signal_csv makes from now on."""
+    calls = []
+    parse = ingest._parse_signal_csv
+    monkeypatch.setattr(ingest, "_parse_signal_csv", lambda *a: calls.append(a[0]) or parse(*a))
+    return calls
+
+
+@pytest.mark.parametrize("rate", [1.0, 1 / 80, 1 / 96])
+@pytest.mark.parametrize("n", [1, 8191, 8192, 8193])
+def test_writer_sidecar_equals_forced_parse(tmp_path, monkeypatch, rate, n):
+    samples = _edge_samples(n)
+    path = tmp_path / "s.csv"
+    write_signal_csv(path, samples, rate)
+    written = _sidecar(path).read_bytes()
+    parses = _parses(monkeypatch)
+    warm = read_signal_csv(path)
+    assert parses == []  # the writer's sidecar was used
+    _sidecar(path).unlink()
+    cold = read_signal_csv(path)
+    assert parses == [path]
+    # the parse is the oracle: the same voltages, bit for bit, and the same sidecar
+    oracle = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
+    assert cold.tobytes() == warm.tobytes() == oracle.tobytes() == samples.tobytes()
+    assert _sidecar(path).read_bytes() == written
+
+
+def test_sidecar_read_never_holds_the_csv_whole(tmp_path):
+    """A read's memory is the voltages it returns, whatever the CSV's size:
+    a whole-file buffer made a command's peak RSS depend on the order of
+    the files' sizes."""
+    samples = _edge_samples(200_000)
+    path = tmp_path / "s.csv"
+    write_signal_csv(path, samples, 1.0)
+    assert path.stat().st_size > 3 * samples.nbytes
+    tracemalloc.start()
+    try:
+        voltages = read_signal_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert voltages.tobytes() == samples.tobytes()
+    assert peak < 1.25 * samples.nbytes
+
+
+def _flip(offset):
+    def corrupt(sidecar):
+        raw = bytearray(sidecar.read_bytes())
+        raw[offset] ^= 1
+        sidecar.write_bytes(bytes(raw))
+    return corrupt
+
+
+def _forge(payload):
+    """A sidecar whose digests match the CSV but whose voltages cannot be samples."""
+    def corrupt(sidecar):
+        head = sidecar.read_bytes()[: ingest._SIDECAR_HEAD - 32]
+        sidecar.write_bytes(head + hashlib.sha256(payload).digest() + payload)
+    return corrupt
+
+
+def _link_loop(sidecar):
+    sidecar.unlink()
+    sidecar.symlink_to(sidecar)  # a loop: reading it fails
+
+
+_SIDECAR_CORRUPTIONS = {
+    "missing": lambda s: s.unlink(),
+    "empty": lambda s: s.write_bytes(b""),
+    "bad-magic": _flip(0),
+    "wrong-digest": _flip(len(ingest._SIDECAR_MAGIC) + 5),
+    "wrong-payload-digest": _flip(ingest._SIDECAR_HEAD - 1),
+    "payload-byte": _flip(ingest._SIDECAR_HEAD + 8 * 7 + 3),
+    "truncated": lambda s: s.write_bytes(s.read_bytes()[:-8]),
+    "torn-sample": lambda s: s.write_bytes(s.read_bytes()[:-3]),
+    "extended": lambda s: s.write_bytes(s.read_bytes() + bytes(8)),
+    "header-only": lambda s: s.write_bytes(s.read_bytes()[: ingest._SIDECAR_HEAD]),
+    "non-finite": _forge(np.full(3, np.nan).tobytes()),
+    "read-error": _link_loop,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIDECAR_CORRUPTIONS))
+def test_corrupt_sidecar_falls_back_to_parse(tmp_path, monkeypatch, case):
+    samples = _edge_samples(100)
+    path = tmp_path / "s.csv"
+    write_signal_csv(path, samples, 1 / 80)
+    written = _sidecar(path).read_bytes()
+    _SIDECAR_CORRUPTIONS[case](_sidecar(path))
+    parses = _parses(monkeypatch)
+    assert read_signal_csv(path).tobytes() == samples.tobytes()
+    assert parses == [path]
+    assert _sidecar(path).read_bytes() == written  # rewritten whole
+    assert read_signal_csv(path).tobytes() == samples.tobytes()
+    assert parses == [path]
+
+
+def test_directory_in_sidecar_place_never_fails_a_read(tmp_path):
+    samples = _edge_samples(100)
+    path = tmp_path / "s.csv"
+    write_signal_csv(path, samples, 1.0)
+    _sidecar(path).unlink()
+    _sidecar(path).mkdir()
+    for _ in range(2):
+        assert read_signal_csv(path).tobytes() == samples.tobytes()
+    assert _sidecar(path).is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.f8"]  # no temporary file left
+
+
+def test_unwritable_sidecar_never_fails_a_read(tmp_path, monkeypatch):
+    def refuse(*_):
+        raise PermissionError("read-only directory")
+
+    monkeypatch.setattr(ingest.os, "replace", refuse)
+    samples = _edge_samples(100)
+    path = tmp_path / "s.csv"
+    write_signal_csv(path, samples, 1.0)
+    assert read_signal_csv(path).tobytes() == samples.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"", "no samples after header"),
+        (b"0,1.0\n1,inf\n", "non-finite voltage at row 3"),
+        (b"0,1.0\n1,\xff\n", "not UTF-8 text"),
+    ],
+)
+def test_csv_rewritten_after_its_sidecar_gives_its_own_error(tmp_path, body, message):
+    path = tmp_path / "s.csv"
+    write_signal_csv(path, _edge_samples(100), 1.0)
+    path.write_bytes(f"{CSV_HEADER}\n".encode() + body)
+    for _ in range(2):
+        with pytest.raises(IngestError, match=message):
+            read_signal_csv(path)
+
+
+@pytest.mark.parametrize("row", [b"# sensor rebooted", b"1.0,2.0 # x", b"#1.0,2.0"])
+def test_comment_rows_are_malformed(tmp_path, row):
+    path = tmp_path / "s.csv"
+    path.write_bytes(f"{CSV_HEADER}\n0,1.0\n".encode() + row + b"\n2,3.0\n")
+    with pytest.raises(IngestError, match=f"{path.name}: malformed CSV row"):
+        read_signal_csv(path)
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(f"{CSV_HEADER}\n0,1.0\n\n1,2.0\n\n".encode())
+    assert read_signal_csv(path).tolist() == [1.0, 2.0]
