@@ -8,7 +8,7 @@ and average per-window sprouting-day estimates into one date per tuber.
 """
 
 from sproutcast.ingest import Dataset, Recording, load_dataset, write_dataset
-from sproutcast.preprocess import ConditionedSignal, SignalWindow, condition, segment
+from sproutcast.preprocess import SignalWindow, condition, segment
 from sproutcast.wavelet import ScalePlan, TransformedWindow, cwt, cwt_direct, plan_scales
 from sproutcast.features import (
     ExampleSet,
@@ -37,7 +37,6 @@ __all__ = [
     "Recording",
     "load_dataset",
     "write_dataset",
-    "ConditionedSignal",
     "SignalWindow",
     "condition",
     "segment",

@@ -3,8 +3,8 @@
 Subcommands: synth, preprocess, features, train, predict, evaluate,
 report.  Option precedence is defaults < --config file < flags.  Every
 artifact-producing run drops a run_meta.json with the fully resolved
-configuration next to its primary output.  Exit codes: 0 success, 2 usage,
-3 invalid configuration, 4 missing input.
+configuration and the environment next to its primary output.  Exit
+codes: 0 success, 2 usage, 3 invalid configuration, 4 missing input.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from sproutcast.evaluate import compute_metrics, loo_cv, report_from_dict, write
 from sproutcast.features import build_dataset, extract_subject_features, iter_transforms, layout_version
 from sproutcast.ingest import IngestError, day_offset_date, load_dataset, read_json, write_dataset, write_json, write_signal_csv
 from sproutcast.preprocess import condition
-from sproutcast.regress import Ensemble, fit, fit_ensemble, load_model, save_model, spec_from_config
+from sproutcast.regress import Ensemble, fit_config, load_model, save_model
 from sproutcast.synth import SynthConfig, generate
 
 EXIT_USAGE = 2
@@ -38,13 +40,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_run_meta(out_dir: Path, command: str, argv: list[str], config: dict, outputs: list[Path]) -> None:
+# a command returns (run_meta.json's directory, its configuration, the files it wrote), or None
+_Written = tuple[Path, object, list[Path]] | None
+
+
+def _write_run_meta(command: str, argv: list[str], out_dir: Path, config, outputs: list[Path]) -> None:
+    from importlib import metadata  # reads scipy's version without importing scipy
+
     meta = {
         "command": command,
         "argv": argv,
-        "config": config,
+        "config": dataclasses.asdict(config) if dataclasses.is_dataclass(config) else config,
         "outputs": [str(p) for p in outputs],
         "version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": metadata.version("scipy"),
+            "platform": platform.platform(),
+            "cpu_count": os.cpu_count(),
+        },
     }
     write_json(out_dir / "run_meta.json", meta)
 
@@ -81,39 +96,31 @@ def _resolve(args: argparse.Namespace) -> PipelineConfig:
     return resolve_config(getattr(args, "config", None), overrides)
 
 
-def cmd_synth(args: argparse.Namespace, argv: list[str]) -> int:
-    cfg = SynthConfig(
-        n_subjects=args.subjects,
-        days_min=args.days_min,
-        days_max=args.days_max,
-        sample_rate_hz=256.0 if args.raw_256hz else args.rate,
-        signature_band_hz=(args.band_low, args.band_high),
-        signature_onset_days_before=args.onset,
-        signature_gain=args.gain,
-        noise_std=args.noise_std,
-        drift_amplitude=args.drift,
-        storage_temp_c=args.temp,
-        seed=args.seed,
-    )
+def cmd_synth(args: argparse.Namespace) -> _Written:
+    given = vars(args)  # only the flags given: SynthConfig holds the defaults
+    values = {f.name: given[f.name] for f in dataclasses.fields(SynthConfig) if f.name in given}
+    if "band_low" in given or "band_high" in given:
+        low, high = SynthConfig.signature_band_hz
+        values["signature_band_hz"] = (given.get("band_low", low), given.get("band_high", high))
+    if given.get("raw_256hz"):
+        values["sample_rate_hz"] = 256.0
+    cfg = SynthConfig(**values)
     dataset = generate(cfg)
-    if args.label:
-        dataset = type(dataset)(recordings=dataset.recordings, label=args.label)
+    if given.get("label"):
+        dataset = dataclasses.replace(dataset, label=given["label"])
     out_dir = Path(args.out)
     manifest = write_dataset(dataset, out_dir)
-    _write_run_meta(out_dir, "synth", argv, cfg.__dict__ | {"label": dataset.label}, [manifest])
     print(manifest)
-    return 0
+    return out_dir, dataclasses.asdict(cfg) | {"label": dataset.label}, [manifest]
 
 
-def cmd_preprocess(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_preprocess(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     dataset = load_dataset(args.manifest)
     manifest_path = Path(args.manifest)
     base = manifest_path.parent
-    subjects = []
-    outputs = []
-    raw = read_json(manifest_path)
-    by_id = {entry["id"]: entry for entry in raw["subjects"]}
+    subjects, outputs = [], []
+    by_id = {entry["id"]: entry for entry in read_json(manifest_path)["subjects"]}
     for rec in dataset.recordings:
         conditioned = condition(rec, cfg)
         entry = dict(by_id[rec.subject_id])
@@ -126,12 +133,11 @@ def cmd_preprocess(args: argparse.Namespace, argv: list[str]) -> int:
     out_manifest = manifest_path.with_suffix(".conditioned.json")
     write_json(out_manifest, {"label": dataset.label, "subjects": subjects})
     outputs.append(out_manifest)
-    _write_run_meta(base, "preprocess", argv, dataclasses.asdict(cfg), outputs)
     print(out_manifest)
-    return 0
+    return base, cfg, outputs
 
 
-def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_features(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     dataset = load_dataset(args.manifest)
     dataset.require_labels()
@@ -150,9 +156,8 @@ def cmd_features(args: argparse.Namespace, argv: list[str]) -> int:
     outputs = [out_path]
     if args.dump_scalogram:
         outputs += _dump_scalograms(dataset, cfg, Path(args.dump_scalogram))
-    _write_run_meta(out_path.parent, "features", argv, dataclasses.asdict(cfg), outputs)
     print(out_path)
-    return 0
+    return out_path.parent, cfg, outputs
 
 
 def _dump_scalograms(dataset, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
@@ -166,30 +171,24 @@ def _dump_scalograms(dataset, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
     return written
 
 
-def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_train(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     dataset = load_dataset(args.manifest)
     dataset.require_labels()
     example_set = build_dataset(dataset, cfg)
-    spec = spec_from_config(cfg)
-    if cfg.strategy == "ensemble":
-        model = fit_ensemble(example_set, spec, cfg.n_members, feature_layout=example_set.layout)
-    else:
-        model = fit(example_set, spec, feature_layout=example_set.layout)
-    model_path = Path(args.model_out)
-    save_model(model, model_path)
-    _write_run_meta(model_path.parent, "train", argv, dataclasses.asdict(cfg), [model_path])
+    model = fit_config(example_set.x, example_set.y, cfg, example_set.layout)
+    model_path = save_model(model, args.model_out)
     print(model_path)
-    return 0
+    return model_path.parent, cfg, [model_path]
 
 
-def cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_predict(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     model = load_model(args.model)
     expected_layout = layout_version(cfg.scales, cfg.time_domain)
-    if model.feature_layout_version and model.feature_layout_version != expected_layout:
+    if model.feature_layout_version != expected_layout:
         raise ConfigError(
-            f"model layout {model.feature_layout_version!r} does not match "
+            f"{args.model}: model layout {model.feature_layout_version!r} does not match "
             f"current pipeline layout {expected_layout!r}"
         )
     if isinstance(model, Ensemble) and cfg.uq_th is None:
@@ -214,29 +213,26 @@ def cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
         )
     for row in results:
         print(json.dumps(row, sort_keys=True))
-    if args.out:
-        out_path = Path(args.out)
-        write_json(out_path, results)
-        _write_run_meta(out_path.parent, "predict", argv, dataclasses.asdict(cfg), [out_path])
-    return 0
+    if not args.out:
+        return None
+    out_path = write_json(args.out, results)
+    return out_path.parent, cfg, [out_path]
 
 
-def cmd_evaluate(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     dataset = load_dataset(args.manifest)
     folds = loo_cv(dataset, cfg)
     report = compute_metrics(folds, cfg, label=dataset.label)
-    out_path = Path(args.out)
-    write_report(report, out_path)
+    out_path = write_report(report, args.out)
     outputs = [out_path]
     if args.curves_dir:
         outputs += write_curves(report, Path(args.curves_dir))
-    _write_run_meta(out_path.parent, "evaluate", argv, dataclasses.asdict(cfg), outputs)
     print(out_path)
-    return 0
+    return out_path.parent, cfg, outputs
 
 
-def cmd_report(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_report(args: argparse.Namespace) -> _Written:
     report = report_from_dict(read_json(args.report), args.report)
     print(f"dataset:   {report.label}  (N={report.n_subjects}, strategy={report.strategy}"
           + (f", uq_th={report.uq_th:g})" if report.uq_th is not None else ")"))
@@ -259,7 +255,7 @@ def cmd_report(args: argparse.Namespace, argv: list[str]) -> int:
     if args.curves_dir:
         for p in write_curves(report, Path(args.curves_dir)):
             print(p)
-    return 0
+    return None
 
 
 def build_parser() -> _Parser:
@@ -267,21 +263,22 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
+    # a flag not given sets no attribute
+    p = sub.add_parser("synth", help="generate a synthetic dataset on disk", argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output directory for manifest + CSVs")
-    p.add_argument("--subjects", type=int, default=64)
-    p.add_argument("--days-min", type=int, default=40)
-    p.add_argument("--days-max", type=int, default=80)
-    p.add_argument("--rate", type=float, default=1.0, help="sample rate in Hz")
+    p.add_argument("--subjects", type=int, dest="n_subjects")
+    p.add_argument("--days-min", type=int, dest="days_min")
+    p.add_argument("--days-max", type=int, dest="days_max")
+    p.add_argument("--rate", type=float, dest="sample_rate_hz", help="sample rate in Hz")
     p.add_argument("--raw-256hz", action="store_true", help="generate at 256 Hz to exercise conditioning")
-    p.add_argument("--band-low", type=float, default=0.01)
-    p.add_argument("--band-high", type=float, default=0.05)
-    p.add_argument("--onset", type=int, default=20, help="signature onset, days before sprouting")
-    p.add_argument("--gain", type=float, default=4.0)
-    p.add_argument("--noise-std", type=float, default=0.3)
-    p.add_argument("--drift", type=float, default=1.5)
-    p.add_argument("--temp", type=int, default=8, help="storage temperature to record (C)")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--band-low", type=float, dest="band_low")
+    p.add_argument("--band-high", type=float, dest="band_high")
+    p.add_argument("--onset", type=int, dest="signature_onset_days_before", help="signature onset, days before sprouting")
+    p.add_argument("--gain", type=float, dest="signature_gain")
+    p.add_argument("--noise-std", type=float, dest="noise_std")
+    p.add_argument("--drift", type=float, dest="drift_amplitude")
+    p.add_argument("--temp", type=int, dest="storage_temp_c", help="storage temperature to record (C)")
+    p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--label")
     p.set_defaults(func=cmd_synth)
 
@@ -341,11 +338,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    # argparse appends each --notch; None means "not given", fall back to defaults
-    if hasattr(args, "notch_hz") and args.notch_hz is not None:
-        args.notch_hz = tuple(args.notch_hz)
     try:
-        return args.func(args, argv)
+        written = args.func(args)
+        if written is not None:
+            _write_run_meta(args.command, argv, *written)
+        return 0
     except FileNotFoundError as exc:
         print(f"error[{EXIT_MISSING}]: {exc}", file=sys.stderr)
         return EXIT_MISSING

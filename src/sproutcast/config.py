@@ -109,6 +109,7 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "notch_hz", tuple(self.notch_hz))  # --notch gives a list
         if self.strategy not in ("single", "ensemble"):
             raise ConfigError(f"strategy must be 'single' or 'ensemble', got {self.strategy!r}")
         if self.strategy == "ensemble" and self.uq_th is None:

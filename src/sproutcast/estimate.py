@@ -103,22 +103,12 @@ def aggregate(estimates: list[WindowEstimate], observation_day: float) -> Subjec
             f"subject {next(iter(subjects))!r}: no windows before observation day {observation_day}"
         )
     retained = [e for e in observable if e.retained]
-    if retained:
-        d_hat = float(np.mean([e.d_hat for e in retained]))
-        return SubjectEstimate(
-            subject_id=retained[0].subject_id,
-            observation_day=observation_day,
-            d_hat=d_hat,
-            n_windows_used=len(retained),
-            fallback_used=False,
-        )
-    best = fallback_window(observable)
     return SubjectEstimate(
-        subject_id=best.subject_id,
+        subject_id=observable[0].subject_id,
         observation_day=observation_day,
-        d_hat=best.d_hat,
-        n_windows_used=1,
-        fallback_used=True,
+        d_hat=float(np.mean([e.d_hat for e in retained])) if retained else fallback_window(observable).d_hat,
+        n_windows_used=len(retained) or 1,
+        fallback_used=not retained,
     )
 
 

@@ -21,7 +21,7 @@ from sproutcast.config import PipelineConfig
 from sproutcast.estimate import SubjectEstimate, WindowEstimate, aggregate, fallback_window, rolling_mean, window_estimates
 from sproutcast.features import ExampleSet, build_dataset
 from sproutcast.ingest import NUMBER, Dataset, check_fields, is_json_type, write_json
-from sproutcast.regress import fit_arrays, fit_ensemble_arrays, spec_from_config
+from sproutcast.regress import fit_config
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,8 @@ class EvaluationReport:
 def _run_fold(data: ExampleSet, cfg: PipelineConfig, fold: int) -> FoldResult:
     train = data.groups != fold
     test = ~train
-    subject_ids = data.subject_ids()
-    held_out = subject_ids[fold]
-    if held_out in {subject_ids[g] for g in np.unique(data.groups[train])}:
-        raise RuntimeError(f"leakage: {held_out} present in training subjects")
-
-    spec = spec_from_config(cfg, seed=cfg.seed + fold)
-    if cfg.strategy == "ensemble":
-        model = fit_ensemble_arrays(
-            data.x[train], data.y[train], spec, cfg.n_members, seed=spec.seed, feature_layout=data.layout
-        )
-    else:
-        model = fit_arrays(data.x[train], data.y[train], spec, feature_layout=data.layout)
-
+    held_out = data.subject_ids()[fold]
+    model = fit_config(data.x[train], data.y[train], cfg, data.layout, seed=cfg.seed + fold)
     estimates = window_estimates(model, [data.features[i] for i in np.flatnonzero(test)], cfg.uq_th)
     true_day = data.true_day[held_out]
     subject_estimate = aggregate(estimates, observation_day=true_day)

@@ -57,9 +57,6 @@ class ScaleFeatures:
     mean_crossings: int
     rms: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -272,11 +269,11 @@ def iter_transforms(
     rec: Recording, cfg: PipelineConfig
 ) -> Iterator[tuple[SignalWindow, TransformedWindow, ScalePlan]]:
     """Condition and segment one recording; yield each window with its |CWT|."""
-    signal = condition(rec, cfg)
-    windows = segment(signal, cfg.window_seconds)
+    rec = condition(rec, cfg)
+    windows = segment(rec, cfg.window_seconds)
     if not windows:
         return
-    plan = plan_scales(signal.sample_rate_hz, len(windows[0].samples), cfg.scales, cfg.omega0)
+    plan = plan_scales(rec.sample_rate_hz, len(windows[0].samples), cfg.scales, cfg.omega0)
     for w in windows:
         yield w, cwt(w, plan), plan
 

@@ -93,9 +93,6 @@ class Recording:
             return None
         return (self.sprouting_day - self.start_day).days
 
-    def duration_seconds(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -257,6 +254,19 @@ def _write_sidecar(sidecar: Path, digest: bytes, voltages: np.ndarray) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def _utf8_fault(path: Path) -> str:
+    """The first byte of ``path`` that is not UTF-8, and its offset from the start of the file.
+
+    A decode error counts its position from the decoder's chunk, not from
+    the file, so the file is decoded again whole; only a failed read pays.
+    """
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+    return "the file changed while it was read"
+
+
 def _parse_signal_csv(path: Path) -> np.ndarray:
     """The voltage column of the CSV at ``path``, every row checked."""
     try:
@@ -266,16 +276,16 @@ def _parse_signal_csv(path: Path) -> np.ndarray:
     with fh:
         try:
             header = fh.readline().strip()
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"{path}: not UTF-8 text ({exc})") from exc
-        if header != CSV_HEADER:
-            raise IngestError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty body is an error below
-                data = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+            if header == CSV_HEADER:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # an empty body is an error below
+                    data = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+        except UnicodeDecodeError:  # a ValueError too, so caught first
+            raise IngestError(f"{path}: not UTF-8 text ({_utf8_fault(path)})") from None
         except ValueError as exc:
             raise IngestError(f"{path}: malformed CSV row ({exc})") from exc
+    if header != CSV_HEADER:
+        raise IngestError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
     if data.size == 0:
         raise IngestError(f"{path}: no samples after header")
     if data.shape[1] != 2:

@@ -395,10 +395,16 @@ def ensemble_predict(ens: Ensemble, features: FeatureVector | np.ndarray) -> tup
     return float(mean[0]), float(half[0])
 
 
-def spec_from_config(cfg: PipelineConfig, seed: int | None = None) -> RegressorSpec:
-    """The spec holding ``cfg``'s values of its fields, with ``seed`` in place of cfg.seed if given."""
+def fit_config(
+    x: np.ndarray, y: np.ndarray, cfg: PipelineConfig, feature_layout: str, seed: int | None = None
+) -> TrainedModel | Ensemble:
+    """Fit the model of ``cfg.strategy`` with ``cfg``'s regressor values, and ``seed`` in place of cfg.seed if given."""
     spec = RegressorSpec(**{f.name: getattr(cfg, f.name) for f in fields(RegressorSpec)})
-    return spec if seed is None else replace(spec, seed=seed)
+    if seed is not None:
+        spec = replace(spec, seed=seed)
+    if cfg.strategy == "ensemble":
+        return fit_ensemble_arrays(x, y, spec, cfg.n_members, feature_layout=feature_layout)
+    return fit_arrays(x, y, spec, feature_layout)
 
 
 # the keys every model file, and every ensemble member in one, starts with
@@ -516,7 +522,7 @@ __all__ = [
     "fit_ensemble_arrays",
     "ensemble_predict",
     "ensemble_predict_matrix",
-    "spec_from_config",
+    "fit_config",
     "save_model",
     "load_model",
 ]

@@ -3,7 +3,6 @@ import pytest
 
 from sproutcast.features import ExampleSet, FeatureVector
 from sproutcast.ingest import Recording
-from sproutcast.preprocess import ConditionedSignal
 from sproutcast.regress import RegressorSpec, TrainedModel
 
 from datetime import date, timedelta
@@ -29,7 +28,8 @@ def make_recording(subject_id="p00", days=3, rate=1.0, samples=None, sprout_day=
 
 
 def make_signal(samples, rate=256.0, subject_id="s"):
-    return ConditionedSignal(subject_id=subject_id, sample_rate_hz=rate, samples=samples, start_day=START)
+    """A recording of ``samples`` to run conditioning stages on."""
+    return make_recording(subject_id, rate=rate, samples=samples)
 
 
 def make_examples(x, y):

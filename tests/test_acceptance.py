@@ -249,6 +249,7 @@ def test_criterion_08_calibration_identities(rng):
 ACCEPT_REGRESSOR = dict(n_trees=60, max_depth=3, learning_rate=0.15, subsample=0.8, min_samples_leaf=5)
 
 
+@pytest.mark.slow
 def test_criterion_09_end_to_end_synthetic():
     t0 = time.monotonic()
     strong = SynthConfig()  # 64 subjects, 40-80 days, 1 Hz, onset 20, gain >> noise, seed 7

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sproutcast.cli import build_parser, main
 from sproutcast.config import PipelineConfig, resolve_config
 from sproutcast.features import build_dataset
 from sproutcast.ingest import load_dataset
+from sproutcast.synth import SynthConfig
 
 RATE = 1 / 96  # 900 samples per day: fast but still a real multi-stage pipeline
 
@@ -60,6 +62,45 @@ def test_synth_writes_manifest_and_run_meta(synth_dir):
     meta = json.loads((synth_dir / "run_meta.json").read_text())
     assert meta["command"] == "synth"
     assert meta["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize(
+    "command", ["synth", "preprocess", "features", "train", "predict", "evaluate", "predict-no-out", "report"]
+)
+def test_run_meta_written_once_by_its_command(command, synth_dir, config_file, tmp_path):
+    ini = str(config_file)
+    model, report = tmp_path / "model" / "model.json", tmp_path / "report" / "r.json"
+    data = tmp_path / "data-copy"  # preprocess writes beside its manifest
+    shutil.copytree(synth_dir, data)
+    (data / "run_meta.json").unlink()
+    manifest = str(data / "manifest.json")
+    if command.startswith("predict"):
+        assert main(["train", "--manifest", manifest, "--model-out", str(model), "--config", ini]) == 0
+    if command == "report":
+        assert main(["evaluate", "--manifest", manifest, "--out", str(report), "--config", ini]) == 0
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--out", str(out), "--subjects", "2", "--days-min", "2", "--days-max", "2",
+                  "--rate", repr(RATE), "--band-low", "0.0008", "--band-high", "0.004"],
+        "preprocess": ["preprocess", "--manifest", manifest, "--config", ini],
+        "features": ["features", "--manifest", manifest, "--out", str(out / "f.csv"), "--config", ini],
+        "train": ["train", "--manifest", manifest, "--model-out", str(out / "m.json"), "--config", ini],
+        "predict": ["predict", "--model", str(model), "--manifest", manifest, "--config", ini,
+                    "--out", str(out / "p.json")],
+        "evaluate": ["evaluate", "--manifest", manifest, "--out", str(out / "r.json"), "--config", ini],
+        "predict-no-out": ["predict", "--model", str(model), "--manifest", manifest, "--config", ini],
+        "report": ["report", "--report", str(report), "--curves-dir", str(out / "curves")],
+    }[command]
+    before = set(tmp_path.rglob("run_meta.json"))
+    assert main(argv) == 0
+    written = sorted(set(tmp_path.rglob("run_meta.json")) - before)
+    if command in ("predict-no-out", "report"):
+        assert written == []
+        return
+    assert len(written) == 1
+    meta = json.loads(written[0].read_text())
+    assert (meta["command"], meta["argv"]) == (argv[0], argv)
+    assert set(meta["environment"]) == {"python", "numpy", "scipy", "platform", "cpu_count"}
 
 
 def test_evaluate_end_to_end(synth_dir, config_file, tmp_path, capsys):
@@ -220,17 +261,21 @@ def test_predict_rejects_layout_mismatch(synth_dir, config_file, tmp_path, capsy
         )
         == 0
     )
-    code = main(
-        [
-            "predict",
-            "--model", str(model_path),
-            "--manifest", str(synth_dir / "manifest.json"),
-            "--config", str(config_file),
-            "--scales", "6",
-        ]
-    )
-    assert code == 3
-    assert "layout" in capsys.readouterr().err
+    # the manifest names a CSV that is not there: a mismatch must stop predict before any CSV is read
+    manifest = json.loads((synth_dir / "manifest.json").read_text())
+    unreadable = synth_dir / "unreadable.json"
+    unreadable.write_text(json.dumps(_first_subject(manifest, signal_path="missing.csv")))
+    empty_layout = tmp_path / "empty-layout.json"
+    empty_layout.write_text(json.dumps({**json.loads(model_path.read_text()), "feature_layout": ""}))
+    for model, flags in ((model_path, ["--scales", "6"]), (empty_layout, ["--time-domain"])):
+        capsys.readouterr()
+        code = main(
+            ["predict", "--model", str(model), "--manifest", str(unreadable), "--config", str(config_file), *flags]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error[3]: {model}: model layout ")
 
 
 def test_preprocess_writes_conditioned_files(tmp_path):
@@ -360,6 +405,8 @@ def test_unreadable_signal_names_its_file(case, synth_dir, config_file, tmp_path
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error[3]: {named}: ")
+    if case.endswith("not-utf8"):
+        assert "not UTF-8 text (byte 0xff at offset " in err
 
 
 @pytest.mark.parametrize("flag", ["--model", "--report"])
@@ -499,6 +546,16 @@ def test_every_pipeline_flag_reaches_the_config():
     for name in ("preprocess", "features", "train", "predict", "evaluate"):
         dests = {a.dest for a in commands[name]._actions if not isinstance(a, argparse._HelpAction)}
         assert not dests - fields - io_args, f"{name}: options that reach neither the config nor I/O"
+
+
+def test_synth_flags_reach_synth_config_and_keep_its_defaults():
+    fields = {f.name for f in dataclasses.fields(SynthConfig)}
+    synth = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["synth"]
+    dests = {a.dest for a in synth._actions if not isinstance(a, argparse._HelpAction)}
+    assert dests - fields == {"out", "band_low", "band_high", "raw_256hz", "label"}
+    # a flag not given leaves no value behind, so SynthConfig's defaults are the only ones
+    given = vars(build_parser().parse_args(["synth", "--out", "d"]))
+    assert set(given) == {"command", "func", "out"}
 
 
 def test_evaluate_flags_reach_config(synth_dir, tmp_path, capsys):

@@ -323,6 +323,21 @@ def test_csv_rewritten_after_its_sidecar_gives_its_own_error(tmp_path, body, mes
             read_signal_csv(path)
 
 
+@pytest.mark.parametrize("where", ["row-3", "near-end"])
+def test_non_utf8_byte_is_reported_at_its_file_offset(tmp_path, where):
+    # about 750 kB: far past the first chunk the text decoder reads
+    path = tmp_path / "s.csv"
+    write_signal_csv(path, np.random.default_rng(0).normal(size=20_000), 1.0)
+    raw = bytearray(path.read_bytes())
+    third_row = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+    offset = third_row + 2 if where == "row-3" else len(raw) - 3
+    raw[offset] = 0xFF  # never valid in UTF-8
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IngestError) as exc:
+        read_signal_csv(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text (byte 0xff at offset {offset})"
+
+
 @pytest.mark.parametrize("row", [b"# sensor rebooted", b"1.0,2.0 # x", b"#1.0,2.0"])
 def test_comment_rows_are_malformed(tmp_path, row):
     path = tmp_path / "s.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import sproutcast
+from sproutcast.ingest import Recording
 from sproutcast.preprocess import (
     SECONDS_PER_DAY,
     biquad_lowpass,
@@ -103,6 +105,16 @@ def test_full_chain_reduces_length_256x():
     assert len(out.samples) == len(x) // 256
 
 
+def test_condition_changes_only_samples_and_rate():
+    rec = make_recording("k", rate=256.0, samples=np.random.default_rng(3).normal(size=256 * 60), variety="SHC1010")
+    out = condition(rec)
+    assert isinstance(out, Recording)
+    assert (out.sample_rate_hz, len(out.samples)) == (1.0, 60)
+    for f in dataclasses.fields(Recording):
+        if f.name not in ("samples", "sample_rate_hz"):
+            assert getattr(out, f.name) == getattr(rec, f.name), f.name
+
+
 def test_chain_is_identity_at_target_rate():
     x = np.random.default_rng(2).normal(size=500)
     rec = make_recording("i", rate=1.0, samples=x, days=1)
@@ -124,8 +136,9 @@ def test_segment_drops_trailing_partial():
     assert len(windows) == 2
 
 
-def test_segment_empty_signal():
-    assert segment(make_signal(np.array([]), 1.0), SECONDS_PER_DAY) == []
+def test_segment_one_sample_signal_gives_no_windows():
+    # a Recording holds at least one sample, so no signal is empty
+    assert segment(make_signal(np.array([0.5]), 1.0), SECONDS_PER_DAY) == []
 
 
 def test_segment_concatenation_is_prefix(rng):
