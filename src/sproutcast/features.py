@@ -106,8 +106,9 @@ def layout_version(k: int, time_domain: bool = False) -> str:
     return f"wavelet-morlet-k{k}-f{FEATURES_PER_SCALE}-v1"
 
 
+_PERCENTS = (5.0, 25.0, 50.0, 75.0, 95.0)
 # numpy's "linear" percentile rule puts quantile q at virtual index (n - 1) * q
-_QUANTILES = np.array([5.0, 25.0, 50.0, 75.0, 95.0]) / 100
+_QUANTILES = np.array(_PERCENTS) / 100
 # rows are sorted and reduced about 2 MiB at a time, so a 1 Hz day window
 # (8 scales x 86400 samples) never holds more than a few rows of temporaries
 _CHUNK_BYTES = 2 << 20
@@ -173,17 +174,32 @@ def _entropy(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.nda
     return entropy
 
 
+def _mixed_zero_rows(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``x``, with bounds lo and hi, that hold both a -0.0 and a 0.0."""
+    rows = np.flatnonzero((lo <= 0.0) & (hi >= 0.0))
+    block = x[rows]
+    zero = block == 0.0
+    negative = np.signbit(block)
+    return rows[(zero & negative).any(axis=1) & (zero & ~negative).any(axis=1)]
+
+
 def _reduce_chunk(x: np.ndarray, bins: int) -> np.ndarray:
     n = x.shape[1]
     s = np.sort(x, axis=1)
-    lo, hi = s[:, 0], s[:, -1]
+    lo, hi = s[:, 0].copy(), s[:, -1].copy()
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("series contains non-finite values")
+    pct = _percentiles(s)
+    # -0.0 and 0.0 compare equal, so where a row holds both, the sign that the
+    # sort (which may rewrite zeros' signs) leaves at an end or a rank is not
+    # what numpy's min, max and partition give; such rows take those calls
+    for row in _mixed_zero_rows(x, lo, hi):
+        lo[row], hi[row] = x[row].min(), x[row].max()
+        pct[row] = np.percentile(x[row], _PERCENTS)
     mean = np.add.reduce(x, axis=1) / n
     centered = x - mean[:, None]
     std = np.sqrt(np.add.reduce(centered * centered, axis=1) / n)
     energy = np.add.reduce(x * x, axis=1)
-    pct = _percentiles(s)
     zero_crossings = np.count_nonzero(x[:, :-1] * x[:, 1:] < 0.0, axis=1)
     mean_crossings = np.count_nonzero(centered[:, :-1] * centered[:, 1:] < 0.0, axis=1)
     return np.column_stack(

@@ -104,6 +104,9 @@ def row_blocks(draw):
 @given(block=row_blocks(), entropy_bins=st.integers(1, 200))
 # a subnormal bin width of 9/7 of the smallest float rounds to 1 of it
 @example(block=np.array([[3.0e-323, 4.4e-323, 0.0]]), entropy_bins=7)
+# -0.0 and 0.0 in one row: numpy's min and percentiles pick which sign to return
+@example(block=np.array([[-0.0, 0.0]]), entropy_bins=1)
+@example(block=np.array([[-0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0, -0.0, -0.0]]), entropy_bins=3)
 def test_block_reduction_matches_per_row_oracle(block, entropy_bins):
     assert_matches_oracle(block, entropy_bins)
 
