@@ -140,7 +140,6 @@ def cmd_preprocess(args: argparse.Namespace) -> _Written:
 def cmd_features(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     dataset = load_dataset(args.manifest)
-    dataset.require_labels()
     example_set = build_dataset(dataset, cfg)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -174,7 +173,6 @@ def _dump_scalograms(dataset, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
 def cmd_train(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     dataset = load_dataset(args.manifest)
-    dataset.require_labels()
     example_set = build_dataset(dataset, cfg)
     model = fit_config(example_set.x, example_set.y, cfg, example_set.layout)
     model_path = save_model(model, args.model_out)

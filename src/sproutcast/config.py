@@ -24,11 +24,14 @@ def _at_least(least: int):
     return lambda v: v >= least, f"at least {least}"
 
 
-_POSITIVE = (lambda v: v > 0, "positive")
+_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
 _FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
 
-# field -> (test, what it asks for); NaN fails every test
+# field -> (test, what it asks for) for every config dataclass (PipelineConfig,
+# RegressorSpec, SynthConfig); NaN fails every test
 _BOUNDS = {
+    "notch_hz": (lambda v: all(0 < c < math.inf for c in v), "positive and finite"),
     "notch_q": _POSITIVE,
     "lowpass_hz": _POSITIVE,
     "lowpass_q": _POSITIVE,
@@ -43,11 +46,21 @@ _BOUNDS = {
     "learning_rate": _FRACTION,
     "min_samples_leaf": _at_least(1),
     "subsample": _FRACTION,
+    "strategy": (lambda v: v in ("single", "ensemble"), "'single' or 'ensemble'"),
+    "uq_th": (lambda v: v is None or 0 < v < math.inf, "positive and finite"),
     # the ensemble's t-interval needs two members
     "n_members": _at_least(2),
     "calibration_bin_width": _POSITIVE,
     "rolling_n": _at_least(1),
     "jobs": _at_least(1),
+    # SynthConfig
+    "n_subjects": _at_least(1),
+    "days_min": _at_least(1),
+    "sample_rate_hz": _POSITIVE,
+    "signature_onset_days_before": _at_least(1),
+    "signature_gain": _NON_NEGATIVE,
+    "noise_std": _NON_NEGATIVE,
+    "drift_amplitude": _NON_NEGATIVE,
 }
 
 
@@ -61,15 +74,16 @@ def check_bounds(obj) -> None:
                 raise ConfigError(f"{f.name} must be {wanted}, got {value!r}")
 
 
-def window_width(window_seconds: float, rate_hz: float) -> int:
+def window_width(window_seconds: float, rate_hz: float, names=("window_seconds", "target_hz")) -> int:
     """Samples in one window of ``window_seconds`` at ``rate_hz``.
 
-    The product must be a whole number of at least 2 samples.
+    The product must be a whole number of at least 2 samples; the error
+    names the two values by ``names``.
     """
     exact = window_seconds * rate_hz
     if not (math.isfinite(exact) and abs(exact - round(exact)) <= 1e-9 and round(exact) >= 2):
         raise ConfigError(
-            f"window_seconds {window_seconds} at target_hz {rate_hz} is not a whole number "
+            f"{names[0]} {window_seconds} at {names[1]} {rate_hz} is not a whole number "
             f"of at least 2 samples"
         )
     return int(round(exact))
@@ -110,15 +124,11 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "notch_hz", tuple(self.notch_hz))  # --notch gives a list
-        if self.strategy not in ("single", "ensemble"):
-            raise ConfigError(f"strategy must be 'single' or 'ensemble', got {self.strategy!r}")
+        check_bounds(self)
         if self.strategy == "ensemble" and self.uq_th is None:
             raise ConfigError("--uq-th is required with --strategy ensemble")
-        if self.uq_th is not None and not self.uq_th > 0:
-            raise ConfigError("uq_th must be positive")
         if self.tlag_min > self.tlag_max:
             raise ConfigError("tlag_min must not exceed tlag_max")
-        check_bounds(self)
         window_width(self.window_seconds, self.target_hz)
 
 

@@ -11,7 +11,7 @@ constant-mean baseline so null datasets can be recognized.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -56,6 +56,17 @@ class EvaluationReport:
     label: str = ""
 
 
+_OPTIONAL_NUMBER = (*NUMBER, type(None))
+# a report field's JSON type, keyed by its annotation up to any "["
+_JSON_TYPES = {"float": NUMBER, "float | None": _OPTIONAL_NUMBER, "int": int, "str": str, "dict": dict, "list": list}
+_REPORT_FIELDS = {
+    f.name: _JSON_TYPES[f.type.partition("[")[0]] for f in fields(EvaluationReport) if f.default is MISSING
+}
+_TLAG_FIELDS = {"t_lag": int, "mean_esd": _OPTIONAL_NUMBER, "n_subjects": int}
+_CALIBRATION_BIN_FIELDS = {"y_hat_center": NUMBER, "e_y": NUMBER, "std_y": NUMBER, "count": int, "low_support": bool}
+_VARIANCE_FIELDS = {"var_y": NUMBER, "var_y_hat": NUMBER, "e_var_y_given_y_hat": NUMBER}
+
+
 def _run_fold(data: ExampleSet, cfg: PipelineConfig, fold: int) -> FoldResult:
     train = data.groups != fold
     test = ~train
@@ -97,7 +108,6 @@ def loo_cv(data: Dataset | ExampleSet, cfg: PipelineConfig | None = None) -> lis
     """
     cfg = cfg or PipelineConfig()
     if isinstance(data, Dataset):
-        data.require_labels()
         data = build_dataset(data, cfg)
     if len(data.true_day) < 2:
         raise ValueError("leave-one-out evaluation needs at least 2 subjects")
@@ -127,13 +137,7 @@ def tlag_sweep(folds: list[FoldResult], lags: range | None = None) -> list[dict]
                 continue
             est = aggregate(fr.window_estimates, observation_day=t)
             errors.append(abs(est.d_hat - fr.true_day))
-        curve.append(
-            {
-                "t_lag": int(lag),
-                "mean_esd": float(np.mean(errors)) if errors else None,
-                "n_subjects": len(errors),
-            }
-        )
+        curve.append(dict(zip(_TLAG_FIELDS, (int(lag), float(np.mean(errors)) if errors else None, len(errors)))))
     return curve
 
 
@@ -177,15 +181,8 @@ def calibration_curves(
     for b in np.unique(bin_idx):
         sel = bin_idx == b
         count = int(sel.sum())
-        bins.append(
-            {
-                "y_hat_center": float((b + 0.5) * bin_width),
-                "e_y": float(y[sel].mean()),
-                "std_y": float(y[sel].std()),
-                "count": count,
-                "low_support": count < min_support,
-            }
-        )
+        row = (float((b + 0.5) * bin_width), float(y[sel].mean()), float(y[sel].std()), count, count < min_support)
+        bins.append(dict(zip(_CALIBRATION_BIN_FIELDS, row)))
     return {"bin_width": bin_width, "rolling_n": rolling_n, "bins": bins}
 
 
@@ -207,11 +204,7 @@ def variance_decomposition(y, y_hat, bin_width: float | None = None) -> dict:
     for g in range(inverse.max() + 1):
         sel = inverse == g
         e_var += sel.sum() / n * float(y[sel].var())
-    return {
-        "var_y": float(y.var()),
-        "var_y_hat": float(y_hat.var()),
-        "e_var_y_given_y_hat": e_var,
-    }
+    return dict(zip(_VARIANCE_FIELDS, (float(y.var()), float(y_hat.var()), e_var)))
 
 
 def compute_metrics(
@@ -262,26 +255,6 @@ def compute_metrics(
     )
 
 
-_OPTIONAL_NUMBER = (*NUMBER, type(None))
-_REPORT_FIELDS = {
-    "mae": NUMBER,
-    "esd": NUMBER,
-    "baseline_mae": NUMBER,
-    "esd_percentiles": list,
-    "tlag_curve": list,
-    "calibration": dict,
-    "variance_decomposition": dict,
-    "per_subject": list,
-    "n_subjects": int,
-    "fallback_count": int,
-    "strategy": str,
-    "uq_th": _OPTIONAL_NUMBER,
-}
-_TLAG_FIELDS = {"t_lag": int, "mean_esd": _OPTIONAL_NUMBER, "n_subjects": int}
-_CALIBRATION_BIN_FIELDS = {"y_hat_center": NUMBER, "e_y": NUMBER, "std_y": NUMBER, "count": int, "low_support": bool}
-_VARIANCE_FIELDS = {"var_y": NUMBER, "var_y_hat": NUMBER, "e_var_y_given_y_hat": NUMBER}
-
-
 def report_from_dict(d, where: str = "report") -> EvaluationReport:
     """Rebuild a report written by ``write_report``.
 
@@ -317,31 +290,20 @@ def write_curves(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    p = out_dir / "esd_percentiles.csv"
-    lines = ["percentile,esd_days"]
-    lines += [f"{pct:g},{val!r}" for pct, val in report.esd_percentiles]
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths.append(p)
-
-    p = out_dir / "tlag.csv"
-    lines = ["t_lag,mean_esd_days,n_subjects"]
-    for row in report.tlag_curve:
-        esd = "" if row["mean_esd"] is None else repr(row["mean_esd"])
-        lines.append(f"{row['t_lag']},{esd},{row['n_subjects']}")
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths.append(p)
-
-    p = out_dir / "calibration.csv"
-    lines = ["y_hat_center,e_y,std_y,count,low_support"]
-    for row in report.calibration["bins"]:
-        lines.append(
-            f"{-row['y_hat_center']!r},{-row['e_y']!r},{row['std_y']!r},"
-            f"{row['count']},{int(row['low_support'])}"
-        )
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths.append(p)
+    tables = {
+        "esd_percentiles.csv": ("percentile,esd_days", [f"{pct:g},{val!r}" for pct, val in report.esd_percentiles]),
+        "tlag.csv": ("t_lag,mean_esd_days,n_subjects", [
+            f"{r['t_lag']},{'' if r['mean_esd'] is None else repr(r['mean_esd'])},{r['n_subjects']}"
+            for r in report.tlag_curve
+        ]),
+        "calibration.csv": ("y_hat_center,e_y,std_y,count,low_support", [
+            f"{-r['y_hat_center']!r},{-r['e_y']!r},{r['std_y']!r},{r['count']},{int(r['low_support'])}"
+            for r in report.calibration["bins"]
+        ]),
+    }
+    paths = [out_dir / name for name in tables]
+    for path, (header, rows) in zip(paths, tables.values()):
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     return paths
 
 

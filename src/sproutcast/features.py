@@ -9,7 +9,7 @@ under a different layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -18,24 +18,6 @@ from sproutcast.config import PipelineConfig
 from sproutcast.ingest import Dataset, IngestError, Recording
 from sproutcast.preprocess import SignalWindow, condition, segment
 from sproutcast.wavelet import ScalePlan, TransformedWindow, cwt, plan_scales
-
-FEATURE_NAMES = (
-    "energy",
-    "p5",
-    "p25",
-    "median",
-    "mean",
-    "p75",
-    "p95",
-    "std",
-    "min",
-    "max",
-    "entropy",
-    "zero_crossings",
-    "mean_crossings",
-    "rms",
-)
-FEATURES_PER_SCALE = len(FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -56,6 +38,10 @@ class ScaleFeatures:
     zero_crossings: int
     mean_crossings: int
     rms: float
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(ScaleFeatures))
+FEATURES_PER_SCALE = len(FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -327,6 +313,7 @@ def build_dataset(
     """
     cfg = cfg or PipelineConfig()
     if isinstance(recordings, Dataset):
+        recordings.require_labels()
         recordings = recordings.recordings
     per_subject: dict[str, list[FeatureVector]] = {}
     true_day: dict[str, int] = {}

@@ -155,11 +155,16 @@ def read_json(path: str | Path):
 
 
 def write_json(path: str | Path, obj, indent: int | None = 2) -> Path:
-    """Write ``obj`` as sorted-key JSON and a newline, making its directory; ``indent=None`` is compact."""
+    """Write ``obj`` as sorted-key standard JSON (no NaN or infinity) and a newline,
+    making its directory; ``indent=None`` is compact."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     separators = (",", ":") if indent is None else None
-    path.write_text(json.dumps(obj, indent=indent, separators=separators, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        text = json.dumps(obj, indent=indent, separators=separators, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity: not standard JSON
+        raise ValueError(f"{path}: {exc}") from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 

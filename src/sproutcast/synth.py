@@ -16,7 +16,9 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from sproutcast.config import ConfigError, check_bounds, window_width
 from sproutcast.ingest import Dataset, Recording
+from sproutcast.preprocess import SECONDS_PER_DAY
 
 _VARIETIES = ("Sorentina", "SHC1010", "Agria")
 _N_CARRIERS = 4
@@ -40,26 +42,17 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.n_subjects < 1:
-            raise ValueError("n_subjects must be positive")
-        if not 0 < self.days_min <= self.days_max:
-            raise ValueError("need 0 < days_min <= days_max")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
+        check_bounds(self)
+        if self.days_min > self.days_max:
+            raise ConfigError("need days_min <= days_max")
         low, high = self.signature_band_hz
         if not 0 < low < high < self.sample_rate_hz / 2:
-            raise ValueError("signature band must satisfy 0 < low < high < rate/2")
-        if self.signature_onset_days_before < 1:
-            raise ValueError("signature_onset_days_before must be positive")
-        if self.signature_gain < 0 or self.noise_std < 0 or self.drift_amplitude < 0:
-            raise ValueError("gain, noise_std and drift_amplitude must be non-negative")
-        spd = self.sample_rate_hz * 86400
-        if abs(spd - round(spd)) > 1e-9 or round(spd) < 2:
-            raise ValueError("sample_rate_hz must give a whole number (>= 2) of samples per day")
+            raise ConfigError("signature band must satisfy 0 < low < high < rate/2")
+        self.samples_per_day  # raises ConfigError unless a day is a whole number of samples
 
     @property
     def samples_per_day(self) -> int:
-        return int(round(self.sample_rate_hz * 86400))
+        return window_width(SECONDS_PER_DAY, self.sample_rate_hz, ("seconds per day", "sample_rate_hz"))
 
 
 def _subject_rng(seed: int, index: int) -> np.random.Generator:

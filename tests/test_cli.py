@@ -523,6 +523,9 @@ def test_features_dump_scalogram(synth_dir, config_file, tmp_path):
         ("preprocess", "target_hz", 0),
         ("preprocess", "target_hz", 0.142857),  # 86400 s is not a whole number of samples
         ("preprocess", "lowpass_q", -1),
+        ("preprocess", "notch_hz", 0),
+        ("preprocess", "notch_hz", -5),
+        ("preprocess", "notch_hz", "nan"),
     ],
 )
 def test_config_lower_bounds_exit_3(section, option, value, tmp_path, capsys):
@@ -537,6 +540,37 @@ def test_config_lower_bounds_exit_3(section, option, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error[3]:") and option in err
+
+
+SMALL_SYNTH = "synth --rate 0.01 --band-low 0.001 --band-high 0.004"
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        ("synth --rate inf", "sample_rate_hz"),
+        (f"{SMALL_SYNTH} --noise-std nan", "noise_std"),
+        (f"{SMALL_SYNTH} --gain inf", "signature_gain"),
+        (f"{SMALL_SYNTH} --drift nan", "drift_amplitude"),
+        ("evaluate --omega0 inf", "omega0"),
+        ("evaluate --bin-width inf", "calibration_bin_width"),
+        ("evaluate --strategy ensemble --uq-th inf", "uq_th"),
+    ],
+)
+def test_non_finite_option_values_exit_3(command, field, synth_dir, config_file, tmp_path, capsys):
+    argv = command.split()
+    out = tmp_path / "out"
+    io_args = ["--out", str(out)]
+    if argv[0] == "synth":  # one small subject, should the value be accepted
+        io_args += ["--subjects", "1", "--days-min", "2", "--days-max", "2"]
+    else:
+        io_args += ["--manifest", str(synth_dir / "manifest.json"), "--config", str(config_file)]
+    capsys.readouterr()
+    assert main([*argv, *io_args]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error[3]: ") and field in err
+    assert not out.exists() and not (tmp_path / "run_meta.json").exists()
 
 
 def test_every_pipeline_flag_reaches_the_config():

@@ -350,3 +350,11 @@ def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "s.csv"
     path.write_bytes(f"{CSV_HEADER}\n0,1.0\n\n1,2.0\n\n".encode())
     assert read_signal_csv(path).tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_standard_numbers(tmp_path, value):
+    path = tmp_path / "out" / "report.json"
+    with pytest.raises(ValueError, match="report.json"):
+        ingest.write_json(path, {"ok": 1.0, "rows": [{"bad": value}]})
+    assert not path.exists()
