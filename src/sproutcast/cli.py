@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from sproutcast import __version__
-from sproutcast.config import ConfigError, PipelineConfig, resolve_config
+from sproutcast.config import SECTIONS, ConfigError, PipelineConfig, option_flag, resolve_config
 from sproutcast.estimate import aggregate, window_estimates
 from sproutcast.evaluate import compute_metrics, loo_cv, report_from_dict, write_curves, write_report
 from sproutcast.features import build_dataset, extract_subject_features, iter_transforms, layout_version
@@ -64,36 +64,19 @@ def _write_run_meta(command: str, argv: list[str], out_dir: Path, config, output
     write_json(out_dir / "run_meta.json", meta)
 
 
-def _pipeline_flags(parser: argparse.ArgumentParser, *, training: bool) -> None:
+def _config_flags(parser: argparse.ArgumentParser, through: str) -> None:
+    """--config, and a flag for every PipelineConfig field of the sections up to ``through``."""
     parser.add_argument("--config", help="INI config file (one section per module)")
-    parser.add_argument("--window-seconds", type=int, dest="window_seconds")
-    parser.add_argument("--scales", type=int, dest="scales", help="number of CWT scales")
-    parser.add_argument("--omega0", type=float, dest="omega0")
-    parser.add_argument("--entropy-bins", type=int, dest="entropy_bins")
-    parser.add_argument(
-        "--time-domain",
-        action="store_const",
-        const=True,
-        dest="time_domain",
-        help="extract features from raw windows, skipping the CWT",
-    )
-    if training:
-        parser.add_argument("--strategy", choices=("single", "ensemble"), dest="strategy")
-        parser.add_argument("--uq-th", type=float, dest="uq_th", help="max allowed 95%% CI width (days)")
-        parser.add_argument("--seed", type=int, dest="seed")
-        parser.add_argument("--n-trees", type=int, dest="n_trees")
-        parser.add_argument("--max-depth", type=int, dest="max_depth")
-        parser.add_argument("--learning-rate", type=float, dest="learning_rate")
-        parser.add_argument("--min-samples-leaf", type=int, dest="min_samples_leaf")
-        parser.add_argument("--subsample", type=float, dest="subsample")
-
-
-_CFG_FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
+    sections = SECTIONS[: SECTIONS.index(through) + 1]
+    for f in dataclasses.fields(PipelineConfig):
+        if f.metadata["section"] in sections:
+            flag, keywords = option_flag(f)
+            parser.add_argument(flag, **keywords)
 
 
 def _resolve(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {k: getattr(args, k) for k in _CFG_FIELDS if hasattr(args, k)}
-    return resolve_config(getattr(args, "config", None), overrides)
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig) if hasattr(args, f.name)}
+    return resolve_config(args.config, overrides)
 
 
 def cmd_synth(args: argparse.Namespace) -> _Written:
@@ -282,26 +265,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("preprocess", help="run the conditioning chain over a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--notch", type=float, action="append", dest="notch_hz")
-    p.add_argument("--notch-q", type=float, dest="notch_q")
-    p.add_argument("--lowpass", type=float, dest="lowpass_hz")
-    p.add_argument("--lowpass-q", type=float, dest="lowpass_q")
-    p.add_argument("--target-hz", type=float, dest="target_hz")
-    p.add_argument("--window-seconds", type=int, dest="window_seconds")
-    p.add_argument("--config")
+    _config_flags(p, through="preprocess")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("features", help="emit the labelled feature table as CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-scalogram", help="directory for per-window scalogram CSVs")
-    _pipeline_flags(p, training=False)
+    _config_flags(p, through="features")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="fit a model on all labelled subjects")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model-out", required=True)
-    _pipeline_flags(p, training=True)
+    _config_flags(p, through="train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="estimate sprouting days for a manifest")
@@ -309,19 +286,14 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--observe-day", type=float, help="observation day offset t (default: end of data)")
     p.add_argument("--out", help="optional JSON output path")
-    _pipeline_flags(p, training=True)
+    _config_flags(p, through="train")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation with full report")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--curves-dir", help="directory for plot-ready curve CSVs")
-    p.add_argument("--jobs", type=int, dest="jobs", help="max parallel fold workers")
-    p.add_argument("--tlag-min", type=int, dest="tlag_min")
-    p.add_argument("--tlag-max", type=int, dest="tlag_max")
-    p.add_argument("--bin-width", type=float, dest="calibration_bin_width")
-    p.add_argument("--rolling-n", type=int, dest="rolling_n")
-    _pipeline_flags(p, training=True)
+    _config_flags(p, through="evaluate")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="print a human-readable summary of a report.json")

@@ -10,8 +10,10 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
+
+from sproutcast.ingest import read_text
 
 ENV_SEED = "SPROUT_SEED"
 
@@ -27,6 +29,7 @@ def _at_least(least: int):
 _POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
 _NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
 _FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
+_STRATEGIES = ("single", "ensemble")
 
 # field -> (test, what it asks for) for every config dataclass (PipelineConfig,
 # RegressorSpec, SynthConfig); NaN fails every test
@@ -46,7 +49,7 @@ _BOUNDS = {
     "learning_rate": _FRACTION,
     "min_samples_leaf": _at_least(1),
     "subsample": _FRACTION,
-    "strategy": (lambda v: v in ("single", "ensemble"), "'single' or 'ensemble'"),
+    "strategy": (lambda v: v in _STRATEGIES, "'single' or 'ensemble'"),
     "uq_th": (lambda v: v is None or 0 < v < math.inf, "positive and finite"),
     # the ensemble's t-interval needs two members
     "n_members": _at_least(2),
@@ -89,38 +92,40 @@ def window_width(window_seconds: float, rate_hz: float, names=("window_seconds",
     return int(round(exact))
 
 
+def _option(default, section: str, flag: str | None = None, **argparse_keywords):
+    """A PipelineConfig field read from INI ``[section]`` and from ``flag``
+    (default ``--<name-with-dashes>``), with any further add_argument keywords."""
+    return field(default=default, metadata={"section": section, "flag": flag, "argparse": argparse_keywords})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    # [preprocess]
-    notch_hz: tuple[float, ...] = (50.0, 100.0)
-    notch_q: float = 30.0
-    lowpass_hz: float = 0.4
-    lowpass_q: float = 0.707
-    target_hz: float = 1.0
-    window_seconds: int = 86400
-    # [wavelet]
-    scales: int = 8
-    omega0: float = 6.0
-    # [features]
-    entropy_bins: int = 64
-    time_domain: bool = False
-    # [regress]
-    n_trees: int = 300
-    max_depth: int = 4
-    learning_rate: float = 0.05
-    min_samples_leaf: int = 5
-    subsample: float = 0.8
-    # [train]
-    strategy: str = "single"
-    uq_th: float | None = None
-    n_members: int = 10
-    seed: int = 0
-    # [evaluate]
-    tlag_min: int = -29
-    tlag_max: int = 0
-    calibration_bin_width: float = 5.0
-    rolling_n: int = 7
-    jobs: int = 1
+    notch_hz: tuple[float, ...] = _option((50.0, 100.0), "preprocess", "--notch", action="append")
+    notch_q: float = _option(30.0, "preprocess")
+    lowpass_hz: float = _option(0.4, "preprocess", "--lowpass")
+    lowpass_q: float = _option(0.707, "preprocess")
+    target_hz: float = _option(1.0, "preprocess")
+    window_seconds: int = _option(86400, "preprocess")
+    scales: int = _option(8, "wavelet", help="number of CWT scales")
+    omega0: float = _option(6.0, "wavelet")
+    entropy_bins: int = _option(64, "features")
+    time_domain: bool = _option(
+        False, "features", action="store_const", const=True, help="extract features from raw windows, skipping the CWT"
+    )
+    n_trees: int = _option(300, "regress")
+    max_depth: int = _option(4, "regress")
+    learning_rate: float = _option(0.05, "regress")
+    min_samples_leaf: int = _option(5, "regress")
+    subsample: float = _option(0.8, "regress")
+    strategy: str = _option("single", "train", choices=_STRATEGIES)
+    uq_th: float | None = _option(None, "train", help="max allowed 95%% CI width (days)")
+    n_members: int = _option(10, "train")
+    seed: int = _option(0, "train")
+    tlag_min: int = _option(-29, "evaluate")
+    tlag_max: int = _option(0, "evaluate")
+    calibration_bin_width: float = _option(5.0, "evaluate", "--bin-width")
+    rolling_n: int = _option(7, "evaluate")
+    jobs: int = _option(1, "evaluate", help="max parallel fold workers")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "notch_hz", tuple(self.notch_hz))  # --notch gives a list
@@ -132,53 +137,53 @@ class PipelineConfig:
         window_width(self.window_seconds, self.target_hz)
 
 
-_SECTION_FIELDS = {
-    "preprocess": ("notch_hz", "notch_q", "lowpass_hz", "lowpass_q", "target_hz", "window_seconds"),
-    "wavelet": ("scales", "omega0"),
-    "features": ("entropy_bins", "time_domain"),
-    "regress": ("n_trees", "max_depth", "learning_rate", "min_samples_leaf", "subsample"),
-    "train": ("strategy", "uq_th", "n_members", "seed"),
-    "evaluate": ("tlag_min", "tlag_max", "calibration_bin_width", "rolling_n", "jobs"),
-}
+_OPTIONS = {f.name: f for f in fields(PipelineConfig)}
+# the INI sections in pipeline order: each command reads a prefix of them
+SECTIONS = tuple(dict.fromkeys(f.metadata["section"] for f in _OPTIONS.values()))
+# the scalar one INI value or one flag gives, by field type
+_SCALARS = {"int": int, "float": float, "float | None": float, "tuple[float, ...]": float, "str": str}
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+
+def option_flag(f: Field) -> tuple[str, dict]:
+    """The CLI flag of PipelineConfig field ``f`` and its add_argument keywords."""
+    keywords = {"dest": f.name, **f.metadata["argparse"]}
+    if f.type != "bool":  # a bool flag takes no value
+        keywords["type"] = _SCALARS[f.type]
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-"), keywords
 
 
 def _coerce(name: str, raw: str):
     raw = raw.strip()
-    ftype = _FIELD_TYPES[name]
+    ftype = _OPTIONS[name].type
     try:
-        if name == "notch_hz":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip()) if raw else ()
         if ftype == "bool":
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        if ftype == "int":
-            return int(raw)
-        if ftype in ("float", "float | None"):
-            return float(raw)
-        return raw
+        if ftype.startswith("tuple"):
+            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        return _SCALARS[ftype](raw)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config option {name!r}: cannot parse {raw!r}") from exc
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Parse an INI config file into a {field: value} override dict."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
+    """Parse an INI config file into a {field: value} override dict.
+
+    A missing file raises FileNotFoundError; a path that is not a file, or
+    a file that is not UTF-8 text, raises IngestError naming the path.
+    """
     parser = configparser.ConfigParser()
+    overrides: dict = {}
     try:
-        parser.read(path)
+        parser.read_string(read_text(path), source=str(path))
+        for section in parser.sections():
+            if section not in SECTIONS:
+                raise ConfigError(f"{path}: unknown config section [{section}]")
+            for key, raw in parser.items(section):
+                if key not in _OPTIONS or _OPTIONS[key].metadata["section"] != section:
+                    raise ConfigError(f"{path}: unknown option {key!r} in section [{section}]")
+                overrides[key] = _coerce(key, raw)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    overrides: dict = {}
-    for section in parser.sections():
-        if section not in _SECTION_FIELDS:
-            raise ConfigError(f"{path}: unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SECTION_FIELDS[section]:
-                raise ConfigError(f"{path}: unknown option {key!r} in section [{section}]")
-            overrides[key] = _coerce(key, raw)
     return overrides
 
 
@@ -209,6 +214,8 @@ __all__ = [
     "check_bounds",
     "window_width",
     "PipelineConfig",
+    "SECTIONS",
+    "option_flag",
     "load_config_file",
     "resolve_config",
 ]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sproutcast.config import PipelineConfig
 from sproutcast.features import FeatureVector
 from sproutcast.regress import (
     Ensemble,
@@ -112,7 +113,7 @@ def aggregate(estimates: list[WindowEstimate], observation_day: float) -> Subjec
     )
 
 
-def rolling_mean(series, n: int = 7) -> np.ndarray:
+def rolling_mean(series, n: int = PipelineConfig.rolling_n) -> np.ndarray:
     """Trailing mean over the last min(n, available) values, length-preserving."""
     if n < 1:
         raise ValueError("rolling window must be at least 1")

@@ -127,7 +127,7 @@ def tlag_sweep(folds: list[FoldResult], lags: range | None = None) -> list[dict]
     Subjects with no observable window at a lag are excluded from that
     lag's mean and counted in ``n_subjects``.
     """
-    lags = lags if lags is not None else range(-29, 1)
+    lags = lags if lags is not None else range(PipelineConfig.tlag_min, PipelineConfig.tlag_max + 1)
     curve = []
     for lag in lags:
         errors = []
@@ -154,8 +154,8 @@ def _per_day_series(fold: FoldResult) -> tuple[np.ndarray, np.ndarray]:
 
 def calibration_curves(
     folds: list[FoldResult],
-    bin_width: float = 5.0,
-    rolling_n: int = 7,
+    bin_width: float = PipelineConfig.calibration_bin_width,
+    rolling_n: int = PipelineConfig.rolling_n,
     min_support: int = 10,
 ) -> dict:
     """Binned E[Y|Y_hat] and Std(Y|Y_hat) over rolling-meaned daily predictions.

@@ -229,7 +229,7 @@ def _feature_row(x: np.ndarray, entropy_bins: int) -> np.ndarray:
     return _reduce_rows(np.asarray(x, dtype=np.float64)[None, :], entropy_bins)[0]
 
 
-def extract_scale_features(coeffs: np.ndarray, entropy_bins: int = 64) -> ScaleFeatures:
+def extract_scale_features(coeffs: np.ndarray, entropy_bins: int = PipelineConfig.entropy_bins) -> ScaleFeatures:
     """Reduce one coefficient series to its 14-statistic descriptor.
 
     Percentiles interpolate linearly between closest ranks; entropy is the
@@ -252,7 +252,7 @@ def build_feature_vector(
     plan: ScalePlan,
     subject_id: str = "",
     day_offset: int = 0,
-    entropy_bins: int = 64,
+    entropy_bins: int = PipelineConfig.entropy_bins,
 ) -> FeatureVector:
     """Concatenate per-scale descriptors, scale-major, into one flat vector."""
     coeffs = tw.coefficients

@@ -141,16 +141,40 @@ def _input_file(path: str | Path) -> Path:
     return path
 
 
-def read_json(path: str | Path):
-    """Parse one JSON input file: a manifest, a model or a report.
+def read_text(path: str | Path) -> str:
+    """The text of one UTF-8 input file.
 
-    A missing file raises FileNotFoundError; a path that is not a file, or a
-    file that is not UTF-8 JSON, raises IngestError naming the path.
+    A missing file raises FileNotFoundError; a path that is not a file, or
+    bytes that are not UTF-8, raise IngestError naming the path.
     """
     path = _input_file(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # ValueError covers bytes that are not UTF-8
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise IngestError(f"{path}: not UTF-8 text ({_utf8_fault(path)})") from None
+    except OSError as exc:
+        raise IngestError(f"{path}: {exc.strerror}") from exc
+
+
+def _finite(token: str) -> float:
+    """A JSON number, or NaN/Infinity, as a float; anything not finite is refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
+def read_json(path: str | Path):
+    """Parse one JSON input file: a manifest, a model or a report.
+
+    A missing file raises FileNotFoundError; a path that is not a file, a
+    file that is not UTF-8 JSON, or a number that is not finite (NaN,
+    Infinity, or a literal such as 1e999) raises IngestError naming the path.
+    """
+    text = read_text(path)
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except (ValueError, RecursionError) as exc:
         raise IngestError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -431,6 +455,7 @@ __all__ = [
     "NUMBER",
     "Recording",
     "Dataset",
+    "read_text",
     "read_json",
     "write_json",
     "read_signal_csv",

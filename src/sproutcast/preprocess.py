@@ -68,12 +68,12 @@ def _biquad(rec: Recording, what: str, freq_hz: float, q: float, coefficients) -
     return replace(rec, samples=lfilter(b, a, rec.samples))
 
 
-def notch_filter(rec: Recording, center_hz: float, q: float = 30.0) -> Recording:
+def notch_filter(rec: Recording, center_hz: float, q: float = PipelineConfig.notch_q) -> Recording:
     """Apply a second-order notch causally."""
     return _biquad(rec, "notch center", center_hz, q, notch_coefficients)
 
 
-def biquad_lowpass(rec: Recording, cutoff_hz: float, q: float = 0.707) -> Recording:
+def biquad_lowpass(rec: Recording, cutoff_hz: float, q: float = PipelineConfig.lowpass_q) -> Recording:
     """Apply a second-order low-pass causally."""
     return _biquad(rec, "low-pass cutoff", cutoff_hz, q, lowpass_coefficients)
 
@@ -107,7 +107,7 @@ def condition(rec: Recording, cfg: PipelineConfig | None = None) -> Recording:
     return downsample(rec, cfg.target_hz)
 
 
-def segment(rec: Recording, window_seconds: int = SECONDS_PER_DAY) -> list[SignalWindow]:
+def segment(rec: Recording, window_seconds: int = PipelineConfig.window_seconds) -> list[SignalWindow]:
     """Cut a conditioned recording into non-overlapping windows of fixed length.
 
     A window holds exactly W = sample_rate * window_seconds samples, a

@@ -31,12 +31,12 @@ MODEL_FORMAT_VERSION = 1
 class RegressorSpec:
     """Hyperparameters of one boosted-tree regressor."""
 
-    n_trees: int = 300
-    max_depth: int = 4
-    learning_rate: float = 0.05
-    min_samples_leaf: int = 5
-    subsample: float = 0.8
-    seed: int = 0
+    n_trees: int = PipelineConfig.n_trees
+    max_depth: int = PipelineConfig.max_depth
+    learning_rate: float = PipelineConfig.learning_rate
+    min_samples_leaf: int = PipelineConfig.min_samples_leaf
+    subsample: float = PipelineConfig.subsample
+    seed: int = PipelineConfig.seed
 
     def __post_init__(self) -> None:
         check_bounds(self)
@@ -81,7 +81,6 @@ class TrainedModel:
     base_prediction: float
     feature_layout_version: str
     n_features: int
-    train_loss: list[float] = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -274,7 +273,6 @@ def fit_arrays(
     rng = np.random.default_rng(spec.seed)
     search = _SplitSearch(x, spec)
     trees: list[Tree] = []
-    loss: list[float] = []
     for _ in range(spec.n_trees):
         np.subtract(y, pred, out=search.residual)
         rows = None
@@ -286,14 +284,12 @@ def fit_arrays(
         tree = builder.build()
         pred = pred + spec.learning_rate * tree.predict(x)
         trees.append(tree)
-        loss.append(float(np.mean((y - pred) ** 2)))
     return TrainedModel(
         spec=spec,
         trees=trees,
         base_prediction=base,
         feature_layout_version=feature_layout,
         n_features=x.shape[1],
-        train_loss=loss,
     )
 
 
@@ -325,7 +321,7 @@ def predict(model: TrainedModel, features: FeatureVector | np.ndarray) -> float:
 def fit_ensemble(
     examples: ExampleSet,
     spec: RegressorSpec,
-    n_members: int = 10,
+    n_members: int = PipelineConfig.n_members,
     seed: int | None = None,
     feature_layout: str = "",
 ) -> Ensemble:
@@ -336,7 +332,7 @@ def fit_ensemble_arrays(
     x: np.ndarray,
     y: np.ndarray,
     spec: RegressorSpec,
-    n_members: int = 10,
+    n_members: int = PipelineConfig.n_members,
     seed: int | None = None,
     feature_layout: str = "",
 ) -> Ensemble:

@@ -18,10 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from sproutcast.config import PipelineConfig
 from sproutcast.preprocess import SignalWindow
 
-DEFAULT_OMEGA0 = 6.0
-DEFAULT_SCALES = 8
 _DIRECT_MAX_LEN = 4096
 
 
@@ -48,8 +47,8 @@ class TransformedWindow:
 def plan_scales(
     sample_rate_hz: float,
     window_len: int,
-    k: int = DEFAULT_SCALES,
-    omega0: float = DEFAULT_OMEGA0,
+    k: int = PipelineConfig.scales,
+    omega0: float = PipelineConfig.omega0,
 ) -> ScalePlan:
     """Plan K frequencies geometrically spaced over the window's usable band.
 
@@ -83,7 +82,7 @@ def plan_scales(
     )
 
 
-def morlet_kernel(scale: float, window_len: int, omega0: float = DEFAULT_OMEGA0) -> np.ndarray:
+def morlet_kernel(scale: float, window_len: int, omega0: float = PipelineConfig.omega0) -> np.ndarray:
     """Sampled complex Morlet at one scale, in circular (wrap-around) order.
 
     Index n holds psi(m/scale) for the signed offset m = ((n + W//2) mod W)
@@ -140,8 +139,6 @@ def cwt_direct(window: SignalWindow, plan: ScalePlan) -> TransformedWindow:
 
 
 __all__ = [
-    "DEFAULT_OMEGA0",
-    "DEFAULT_SCALES",
     "ScalePlan",
     "TransformedWindow",
     "plan_scales",

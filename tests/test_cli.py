@@ -2,12 +2,14 @@ import argparse
 import dataclasses
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sproutcast import cli
 from sproutcast.cli import build_parser, main
-from sproutcast.config import PipelineConfig, resolve_config
+from sproutcast.config import ConfigError, PipelineConfig, load_config_file, resolve_config
 from sproutcast.features import build_dataset
 from sproutcast.ingest import load_dataset
 from sproutcast.synth import SynthConfig
@@ -216,10 +218,11 @@ def test_ensemble_requires_uq_th(synth_dir, tmp_path, capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--nonsense"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("error[2]")
+    for argv in (["evaluate", "--nonsense"], ["train", "--manifest", "m.json", "--model-out", "m", "--strategy", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error[2]")
 
 
 def test_missing_manifest_exits_4(tmp_path, capsys):
@@ -294,7 +297,7 @@ def test_preprocess_writes_conditioned_files(tmp_path):
     assert entry["sample_rate_hz"] == 1.0
     out_csv = tmp_path / "raw" / entry["signal_path"]
     assert out_csv.name.endswith(".conditioned.csv")
-    assert sum(1 for _ in out_csv.open()) == 120 + 1  # header + one row per second
+    assert len(out_csv.read_text().splitlines()) == 120 + 1  # header + one row per second
 
 
 def test_features_table(synth_dir, config_file, tmp_path):
@@ -421,6 +424,31 @@ def test_non_json_file_names_itself(flag, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error[3]: {path}: invalid JSON")
+
+
+_BAD_CONFIG_FILES = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "not-utf8": lambda path: path.write_bytes(b"[wavelet]\nscales = 4\n# \xff\n"),
+    "bare-percent-sign": lambda path: path.write_text("[train]\nstrategy = 5%\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIG_FILES))
+def test_bad_config_file_names_itself(case, tmp_path, capsys):
+    path = tmp_path / "pipeline.ini"
+    _BAD_CONFIG_FILES[case](path)
+    # the manifest does not exist: the config file must be rejected before any input is read
+    code = main(["features", "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "f.csv"),
+                 "--config", str(path)])
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if case == "missing":
+        assert code == 4 and err == f"error[4]: file not found: {path}\n"
+    else:
+        assert code == 3 and err.startswith(f"error[3]: {path}: ")
+    if case == "not-utf8":
+        assert "not UTF-8 text (byte 0xff at offset 23)" in err
 
 
 def test_flag_overrides_config_file(synth_dir, config_file, tmp_path):
@@ -573,13 +601,82 @@ def test_non_finite_option_values_exit_3(command, field, synth_dir, config_file,
     assert not out.exists() and not (tmp_path / "run_meta.json").exists()
 
 
-def test_every_pipeline_flag_reaches_the_config():
+_COMMAND_SECTIONS = {
+    "preprocess": ("preprocess",),
+    "features": ("preprocess", "wavelet", "features"),
+    "train": ("preprocess", "wavelet", "features", "regress", "train"),
+    "predict": ("preprocess", "wavelet", "features", "regress", "train"),
+    "evaluate": ("preprocess", "wavelet", "features", "regress", "train", "evaluate"),
+}
+_IO_ARGS = {
+    "preprocess": ["--manifest", "m.json"],
+    "features": ["--manifest", "m.json", "--out", "f.csv"],
+    "train": ["--manifest", "m.json", "--model-out", "model.json"],
+    "predict": ["--model", "model.json", "--manifest", "m.json"],
+    "evaluate": ["--manifest", "m.json", "--out", "r.json"],
+}
+# a flag value for every PipelineConfig field, none of them its default
+_FLAG_VALUES = {
+    "notch_hz": (["--notch", "60", "--notch", "120"], (60.0, 120.0)),
+    "notch_q": (["--notch-q", "20"], 20.0),
+    "lowpass_hz": (["--lowpass", "0.3"], 0.3),
+    "lowpass_q": (["--lowpass-q", "0.5"], 0.5),
+    "target_hz": (["--target-hz", "0.5"], 0.5),
+    "window_seconds": (["--window-seconds", "3600"], 3600),
+    "scales": (["--scales", "6"], 6),
+    "omega0": (["--omega0", "5.5"], 5.5),
+    "entropy_bins": (["--entropy-bins", "32"], 32),
+    "time_domain": (["--time-domain"], True),
+    "n_trees": (["--n-trees", "20"], 20),
+    "max_depth": (["--max-depth", "2"], 2),
+    "learning_rate": (["--learning-rate", "0.1"], 0.1),
+    "min_samples_leaf": (["--min-samples-leaf", "3"], 3),
+    "subsample": (["--subsample", "0.5"], 0.5),
+    "strategy": (["--strategy", "ensemble"], "ensemble"),
+    "uq_th": (["--uq-th", "8"], 8.0),
+    "n_members": (["--n-members", "4"], 4),
+    "seed": (["--seed", "11"], 11),
+    "tlag_min": (["--tlag-min", "-10"], -10),
+    "tlag_max": (["--tlag-max", "-2"], -2),
+    "calibration_bin_width": (["--bin-width", "2.5"], 2.5),
+    "rolling_n": (["--rolling-n", "3"], 3),
+    "jobs": (["--jobs", "2"], 2),
+}
+
+
+def test_every_pipeline_flag_reaches_the_config(monkeypatch):
     io_args = {"manifest", "out", "model", "model_out", "observe_day", "curves_dir", "dump_scalogram", "config"}
-    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+    assert sorted(_FLAG_VALUES) == sorted(fields)
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    for name in ("preprocess", "features", "train", "predict", "evaluate"):
-        dests = {a.dest for a in commands[name]._actions if not isinstance(a, argparse._HelpAction)}
-        assert not dests - fields - io_args, f"{name}: options that reach neither the config nor I/O"
+    resolved = []
+
+    def resolve_and_stop(config_path, overrides):
+        resolved.append(resolve_config(config_path, overrides))
+        raise ConfigError("resolved")
+
+    monkeypatch.setattr(cli, "resolve_config", resolve_and_stop)
+    for name, sections in _COMMAND_SECTIONS.items():
+        actions = [a for a in commands[name]._actions if not isinstance(a, argparse._HelpAction)]
+        assert not {a.dest for a in actions} - set(fields) - io_args, f"{name}: options that reach neither the config nor I/O"
+        # one flag for every field of the command's sections, and none for any other field
+        wanted = [f.name for f in dataclasses.fields(PipelineConfig) if f.metadata["section"] in sections]
+        assert sorted(a.dest for a in actions if a.dest in fields) == sorted(wanted), name
+        assert all(len(a.option_strings) == 1 for a in actions)
+        flags = [token for field in wanted for token in _FLAG_VALUES[field][0]]
+        assert main([name, *_IO_ARGS[name], *flags]) == 3
+        assert {field: getattr(resolved[-1], field) for field in wanted} == {
+            field: _FLAG_VALUES[field][1] for field in wanted
+        }
+
+
+def test_readme_config_block_sets_every_option(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config file", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block, encoding="utf-8")
+    assert set(load_config_file(path)) == {f.name for f in dataclasses.fields(PipelineConfig)}
+    resolve_config(path)  # every value in it is accepted too
 
 
 def test_synth_flags_reach_synth_config_and_keep_its_defaults():
@@ -636,6 +733,8 @@ def _corrupt(case, payload):
         tree["feature"][0] = payload["n_features"]
     elif case == "feature-is-fractional":
         tree["feature"][0] += 0.5  # would load as the integer below it
+    elif case == "leaf-is-nan":
+        tree["value"] = [float("nan")] * len(tree["value"])
     elif case.startswith("member-"):  # an ensemble of the model and a member whose header differs
         member = {**payload, "feature_layout": "time-v9"}
         if case == "member-width-differs":
@@ -649,13 +748,14 @@ def _corrupt(case, payload):
     "case",
     ["missing-kind", "missing-spec", "missing-trees", "missing-tree-key", "unequal-lengths",
      "child-out-of-range", "child-loops-back", "feature-out-of-range", "feature-is-fractional",
-     "member-layout-differs", "member-width-differs"],
+     "leaf-is-nan", "member-layout-differs", "member-width-differs"],
 )
 def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsys):
     flags, payload = model_payload
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_corrupt(case, json.loads(json.dumps(payload)))))
-    code = main(["predict", "--model", str(path), *flags])
+    # the last --manifest, which wins, does not exist: the model must be rejected before any input is read
+    code = main(["predict", "--model", str(path), *flags, "--manifest", str(tmp_path / "missing.json")])
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -703,6 +803,7 @@ _REPORT_CORRUPTIONS = {
     "calibration-bin-wrong-type": lambda r: {
         **r, "calibration": {**r["calibration"], "bins": [{**r["calibration"]["bins"][0], "count": 2.5}]}},
     "variance-missing-key": lambda r: {**r, "variance_decomposition": {"var_y": 1.0}},
+    "mae-is-nan": lambda r: {**r, "mae": float("nan")},
 }
 
 

@@ -101,7 +101,13 @@ def test_training_loss_monotone_without_subsampling(rng):
     y = x[:, 0] - 3 * x[:, 1] + rng.normal(scale=0.2, size=200)
     spec = RegressorSpec(n_trees=80, max_depth=3, learning_rate=0.3, subsample=1.0, seed=2)
     model = fit(make_examples(x, y), spec)
-    losses = np.array(model.train_loss)
+    # the training loss after each stage, from the model's own trees
+    pred = np.full(len(y), model.base_prediction)
+    losses = []
+    for tree in model.trees:
+        pred = pred + spec.learning_rate * tree.predict(x)
+        losses.append(np.mean((y - pred) ** 2))
+    assert len(losses) == 80 and losses[-1] < 0.1 * losses[0]
     assert np.all(np.diff(losses) <= 1e-12)
 
 
