@@ -79,6 +79,19 @@ def _resolve(args: argparse.Namespace) -> PipelineConfig:
     return resolve_config(args.config, overrides)
 
 
+def _output(path: str | Path | None, directory: bool = False) -> Path | None:
+    """``path`` as an output file (or directory); commands check outputs before they read any input."""
+    if path is None:
+        return None
+    path = Path(path)
+    # an existing path must be of its kind; else its nearest existing parent must be a directory
+    nearest = path if path.exists() else next(parent for parent in path.parents if parent.exists())
+    if nearest.is_dir() != (directory or nearest != path):
+        kind = "directory" if directory else "file"
+        raise ConfigError(f"cannot write output {kind} {path}: {nearest} is {'' if nearest.is_dir() else 'not '}a directory")
+    return path
+
+
 def cmd_synth(args: argparse.Namespace) -> _Written:
     given = vars(args)  # only the flags given: SynthConfig holds the defaults
     values = {f.name: given[f.name] for f in dataclasses.fields(SynthConfig) if f.name in given}
@@ -88,10 +101,10 @@ def cmd_synth(args: argparse.Namespace) -> _Written:
     if given.get("raw_256hz"):
         values["sample_rate_hz"] = 256.0
     cfg = SynthConfig(**values)
+    out_dir = _output(args.out, directory=True)
     dataset = generate(cfg)
     if given.get("label"):
         dataset = dataclasses.replace(dataset, label=given["label"])
-    out_dir = Path(args.out)
     manifest = write_dataset(dataset, out_dir)
     print(manifest)
     return out_dir, dataclasses.asdict(cfg) | {"label": dataset.label}, [manifest]
@@ -99,21 +112,20 @@ def cmd_synth(args: argparse.Namespace) -> _Written:
 
 def cmd_preprocess(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
-    dataset = load_dataset(args.manifest)
     manifest_path = Path(args.manifest)
+    out_manifest = _output(manifest_path.with_suffix(".conditioned.json"))
+    dataset = load_dataset(manifest_path)
     base = manifest_path.parent
-    subjects, outputs = [], []
     by_id = {entry["id"]: entry for entry in read_json(manifest_path)["subjects"]}
-    for rec in dataset.recordings:
+    subjects = [dict(by_id[rec.subject_id]) for rec in dataset.recordings]
+    outputs = []
+    for entry in subjects:  # every output is checked before the first is written
+        entry["signal_path"] = str(Path(entry["signal_path"]).with_suffix(".conditioned.csv"))
+        outputs.append(_output(base / entry["signal_path"]))
+    for rec, entry, out_path in zip(dataset.recordings, subjects, outputs):
         conditioned = condition(rec, cfg)
-        entry = dict(by_id[rec.subject_id])
-        out_name = Path(entry["signal_path"]).with_suffix(".conditioned.csv")
-        write_signal_csv(base / out_name, conditioned.samples, conditioned.sample_rate_hz)
-        entry["signal_path"] = str(out_name)
+        write_signal_csv(out_path, conditioned.samples, conditioned.sample_rate_hz)
         entry["sample_rate_hz"] = conditioned.sample_rate_hz
-        subjects.append(entry)
-        outputs.append(base / out_name)
-    out_manifest = manifest_path.with_suffix(".conditioned.json")
     write_json(out_manifest, {"label": dataset.label, "subjects": subjects})
     outputs.append(out_manifest)
     print(out_manifest)
@@ -122,9 +134,10 @@ def cmd_preprocess(args: argparse.Namespace) -> _Written:
 
 def cmd_features(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
+    out_path = _output(args.out)
+    scalogram_dir = _output(args.dump_scalogram, directory=True)
     dataset = load_dataset(args.manifest)
     example_set = build_dataset(dataset, cfg)
-    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     header = "subject_id,window_index,day_offset,target_days," + ",".join(
         f"f_{i:03d}" for i in range(example_set.x.shape[1])
@@ -136,8 +149,8 @@ def cmd_features(args: argparse.Namespace) -> _Written:
     ]
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     outputs = [out_path]
-    if args.dump_scalogram:
-        outputs += _dump_scalograms(dataset, cfg, Path(args.dump_scalogram))
+    if scalogram_dir:
+        outputs += _dump_scalograms(dataset, cfg, scalogram_dir)
     print(out_path)
     return out_path.parent, cfg, outputs
 
@@ -155,16 +168,18 @@ def _dump_scalograms(dataset, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
 
 def cmd_train(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
+    model_out = _output(args.model_out)
     dataset = load_dataset(args.manifest)
     example_set = build_dataset(dataset, cfg)
     model = fit_config(example_set.x, example_set.y, cfg, example_set.layout)
-    model_path = save_model(model, args.model_out)
+    model_path = save_model(model, model_out)
     print(model_path)
     return model_path.parent, cfg, [model_path]
 
 
 def cmd_predict(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
+    out = _output(args.out)
     model = load_model(args.model)
     expected_layout = layout_version(cfg.scales, cfg.time_domain)
     if model.feature_layout_version != expected_layout:
@@ -173,13 +188,13 @@ def cmd_predict(args: argparse.Namespace) -> _Written:
             f"current pipeline layout {expected_layout!r}"
         )
     if isinstance(model, Ensemble) and cfg.uq_th is None:
-        raise ConfigError("--uq-th is required when predicting with an ensemble model")
+        raise ConfigError(f"{args.model}: --uq-th is required when predicting with an ensemble model")
     dataset = load_dataset(args.manifest)
     results = []
     for rec in dataset.recordings:
         fvs = extract_subject_features(rec, cfg)
         if not fvs:
-            raise ConfigError(f"subject {rec.subject_id!r} is shorter than one window; nothing to predict")
+            raise ConfigError(f"{args.manifest}: subject {rec.subject_id!r} is shorter than one window; nothing to predict")
         estimates = window_estimates(model, fvs, cfg.uq_th)
         t = args.observe_day if args.observe_day is not None else max(e.day_offset for e in estimates) + 1
         subject = aggregate(estimates, observation_day=t)
@@ -194,26 +209,29 @@ def cmd_predict(args: argparse.Namespace) -> _Written:
         )
     for row in results:
         print(json.dumps(row, sort_keys=True))
-    if not args.out:
+    if out is None:
         return None
-    out_path = write_json(args.out, results)
+    out_path = write_json(out, results)
     return out_path.parent, cfg, [out_path]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
+    out = _output(args.out)
+    curves_dir = _output(args.curves_dir, directory=True)
     dataset = load_dataset(args.manifest)
     folds = loo_cv(dataset, cfg)
     report = compute_metrics(folds, cfg, label=dataset.label)
-    out_path = write_report(report, args.out)
+    out_path = write_report(report, out)
     outputs = [out_path]
-    if args.curves_dir:
-        outputs += write_curves(report, Path(args.curves_dir))
+    if curves_dir:
+        outputs += write_curves(report, curves_dir)
     print(out_path)
     return out_path.parent, cfg, outputs
 
 
 def cmd_report(args: argparse.Namespace) -> _Written:
+    curves_dir = _output(args.curves_dir, directory=True)
     report = report_from_dict(read_json(args.report), args.report)
     print(f"dataset:   {report.label}  (N={report.n_subjects}, strategy={report.strategy}"
           + (f", uq_th={report.uq_th:g})" if report.uq_th is not None else ")"))
@@ -233,8 +251,8 @@ def cmd_report(args: argparse.Namespace) -> _Written:
         f"variance:  Var(Y)={vd['var_y']:.2f}  Var(Yhat)={vd['var_y_hat']:.2f}  "
         f"E[Var(Y|Yhat)]={vd['e_var_y_given_y_hat']:.2f}"
     )
-    if args.curves_dir:
-        for p in write_curves(report, Path(args.curves_dir)):
+    if curves_dir:
+        for p in write_curves(report, curves_dir):
             print(p)
     return None
 
@@ -316,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error[{EXIT_MISSING}]: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (ConfigError, IngestError, ValueError) as exc:
+    except (ConfigError, IngestError, ValueError, OSError) as exc:  # an OSError from a write names its path
         print(f"error[{EXIT_CONFIG}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -391,13 +391,16 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     manifest_path = Path(manifest_path)
     manifest = check_fields(read_json(manifest_path), {"subjects": list}, str(manifest_path), {"label": str})
     base = manifest_path.parent
-    subjects, signal_paths = [], []
+    subjects, signal_paths, seen = [], [], set()
     for i, entry in enumerate(manifest["subjects"]):
         if isinstance(entry, dict):
             where = f"{manifest_path} subject {entry.get('id', i)!r}"
         else:
             where = f"{manifest_path} subject entry {i}"
         check_fields(entry, _SUBJECT_FIELDS, where)
+        if entry["id"] in seen:
+            raise IngestError(f"{where}: duplicate subject_id")
+        seen.add(entry["id"])
         sprouting = entry.get("sprouting_day")
         subjects.append(
             dict(

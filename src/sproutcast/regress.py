@@ -120,11 +120,11 @@ class _SplitSearch:
         self.sorted_values = np.take_along_axis(x.T, self.presort, axis=1)
         self.residual = np.empty(n)
         size = n_features * n
-        # level d holds the blocks and the ascending row lists of the nodes
-        # at depth d; rows[0] is every row of the fit
+        # level d holds the blocks of the nodes at depth d, and the
+        # ascending row lists of the nodes at depth d + 1
         self.orders = [np.empty(size, dtype=np.intp) for _ in range(spec.max_depth)]
         self.values = [np.empty(size) for _ in range(spec.max_depth)]
-        self.rows = [np.arange(n)] + [np.empty(n, dtype=np.intp) for _ in range(spec.max_depth)]
+        self.rows = [np.empty(n, dtype=np.intp) for _ in range(spec.max_depth)]
         self.sums = np.empty(size)
         self.cumsum = np.empty(size)
         self.score = np.empty(size)
@@ -145,18 +145,16 @@ class _SplitSearch:
             values.compress(mask, out=self.values[depth][span]),
         )
 
-    def root(self, rows: np.ndarray | None) -> tuple[np.ndarray, _Block | None]:
-        """Row list and block of a tree grown on ``rows`` (ascending; None = all)."""
-        block = (self.presort.ravel(), self.sorted_values.ravel())
-        if rows is None:
-            rows = self.rows[0]
-        elif self.searches(0, len(rows)):
-            in_sample = self.in_left
-            in_sample[:] = False
-            in_sample[rows] = True
-            mask = in_sample.take(block[0], out=self.blocked)
-            block = self._select(mask, block, 0, 0, len(rows))
-        return rows, block if self.searches(0, len(rows)) else None
+    def root(self, rows: np.ndarray) -> _Block | None:
+        """Block of a tree grown on ``rows`` (ascending), or None when the root will not search."""
+        if not self.searches(0, len(rows)):
+            return None
+        in_sample = self.in_left
+        in_sample[:] = False
+        in_sample[rows] = True
+        order = self.presort.ravel()
+        mask = in_sample.take(order, out=self.blocked)
+        return self._select(mask, (order, self.sorted_values.ravel()), 0, 0, len(rows))
 
     def leaf_value(self, rows: np.ndarray) -> float:
         r = self.residual.take(rows, out=self.sums[: len(rows)])
@@ -215,7 +213,7 @@ class _SplitSearch:
         n_left = int(values[column].searchsorted(thr, side="right"))
         self.in_left[order[column][:n_left]] = True
         self.in_left[order[column][n_left:]] = False
-        child_rows = self.rows[depth + 1]
+        child_rows = self.rows[depth]
         row_mask = self.in_left.take(rows, out=self.blocked[:n])
         rows.compress(row_mask, out=child_rows[:n_left])
         np.logical_not(row_mask, out=row_mask)
@@ -231,27 +229,18 @@ class _SplitSearch:
                 blocks[1] = self._select(mask, block, depth + 1, n_left, n)
         return (child_rows[:n_left], blocks[0]), (child_rows[n_left:n], blocks[1])
 
-
-class _TreeBuilder:
-    def __init__(self, search: _SplitSearch):
-        self.search = search
-        # one (feature, threshold, left, right, value) tuple per node, in preorder
-        self.nodes: list[tuple] = []
-
-    def grow(self, rows: np.ndarray, block: _Block | None, depth: int = 0) -> int:
-        node = len(self.nodes)
-        self.nodes.append(())
-        split = None if block is None else self.search.best_split(block, len(rows))
+    def grow(self, nodes: list[tuple], rows: np.ndarray, block: _Block | None, depth: int = 0) -> int:
+        """Append the subtree's (feature, threshold, left, right, value) nodes in preorder; return its root's index."""
+        node = len(nodes)
+        nodes.append(())
+        split = None if block is None else self.best_split(block, len(rows))
         if split is None:
-            self.nodes[node] = (-1, 0.0, -1, -1, self.search.leaf_value(rows))
+            nodes[node] = (-1, 0.0, -1, -1, self.leaf_value(rows))
             return node
         f, thr = split
-        left, right = self.search.partition(depth, rows, block, f, thr)
-        self.nodes[node] = (f, thr, self.grow(*left, depth + 1), self.grow(*right, depth + 1), 0.0)
+        left, right = self.partition(depth, rows, block, f, thr)
+        nodes[node] = (f, thr, self.grow(nodes, *left, depth + 1), self.grow(nodes, *right, depth + 1), 0.0)
         return node
-
-    def build(self) -> Tree:
-        return Tree(*(np.asarray(col, dtype=dtype) for col, dtype in zip(zip(*self.nodes), _TREE_ARRAYS.values())))
 
 
 def fit_arrays(
@@ -275,13 +264,13 @@ def fit_arrays(
     trees: list[Tree] = []
     for _ in range(spec.n_trees):
         np.subtract(y, pred, out=search.residual)
-        rows = None
+        rows = np.arange(n)
         if spec.subsample < 1.0:
             m = max(1, int(round(spec.subsample * n)))
             rows = np.sort(rng.permutation(n)[:m])
-        builder = _TreeBuilder(search)
-        builder.grow(*search.root(rows))
-        tree = builder.build()
+        nodes: list[tuple] = []
+        search.grow(nodes, rows, search.root(rows))
+        tree = Tree(*(np.asarray(col, dtype=dtype) for col, dtype in zip(zip(*nodes), _TREE_ARRAYS.values())))
         pred = pred + spec.learning_rate * tree.predict(x)
         trees.append(tree)
     return TrainedModel(

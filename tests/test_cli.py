@@ -233,6 +233,42 @@ def test_missing_manifest_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[4]")
 
 
+# each case: the command, with {data} for the corpus directory its outputs go to,
+# the output path put in the way (relative to it), and whether a directory or a file is put there
+_OUTPUTS_IN_THE_WAY = {
+    "evaluate-out-is-a-directory": ("evaluate --out {data}/r.json", "r.json", "directory"),
+    "train-model-out-under-a-file": ("train --model-out {data}/f/m.json", "f", "file"),
+    "features-dump-scalogram-is-a-file": ("features --out {data}/f.csv --dump-scalogram {data}/s", "s", "file"),
+    "preprocess-manifest-is-a-directory": ("preprocess", "manifest.conditioned.json", "directory"),
+    "preprocess-csv-is-a-directory": ("preprocess", "p001.conditioned.csv", "directory"),
+    # the manifest does not exist: the output must be refused before any input is read
+    "curves-dir-is-a-file-and-no-manifest": (
+        "evaluate --out {data}/r.json --curves-dir {data}/c --manifest {data}/missing.json", "c", "file"),
+    # written after the work, so only the write's own error can report it
+    "run-meta-is-a-directory": ("train --model-out {data}/m/m.json", "m/run_meta.json", "directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTPUTS_IN_THE_WAY))
+def test_output_in_the_way_exits_3(case, synth_dir, config_file, capsys):
+    command, blocked, kind = _OUTPUTS_IN_THE_WAY[case]
+    blocked = synth_dir / blocked
+    if kind == "directory":
+        blocked.mkdir(parents=True)
+    else:
+        blocked.write_text("")
+    before = sorted(synth_dir.rglob("*"))
+    argv = command.format(data=synth_dir).split()
+    capsys.readouterr()
+    code = main([argv[0], "--manifest", str(synth_dir / "manifest.json"), "--config", str(config_file), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error[3]: ") and str(blocked) in err
+    if case != "run-meta-is-a-directory":
+        assert sorted(synth_dir.rglob("*")) == before
+
+
 def test_env_seed_fallback(synth_dir, config_file, tmp_path, monkeypatch):
     monkeypatch.setenv("SPROUT_SEED", "777")
     model_path = tmp_path / "m.json"
@@ -249,6 +285,13 @@ def test_env_seed_fallback(synth_dir, config_file, tmp_path, monkeypatch):
     )
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert meta["config"]["seed"] == 777
+
+
+def test_non_integer_env_seed_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPROUT_SEED", "7.5")
+    code = main(["evaluate", "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    assert capsys.readouterr().err == "error[3]: SPROUT_SEED must be an integer\n"
 
 
 def test_predict_rejects_layout_mismatch(synth_dir, config_file, tmp_path, capsys):
@@ -431,6 +474,8 @@ _BAD_CONFIG_FILES = {
     "directory": lambda path: path.mkdir(),
     "not-utf8": lambda path: path.write_bytes(b"[wavelet]\nscales = 4\n# \xff\n"),
     "bare-percent-sign": lambda path: path.write_text("[train]\nstrategy = 5%\n"),
+    "unknown-section": lambda path: path.write_text("[boosting]\nn_trees = 4\n"),
+    "unknown-option": lambda path: path.write_text("[wavelet]\nn_trees = 4\n"),
 }
 
 
@@ -537,6 +582,7 @@ def test_features_dump_scalogram(synth_dir, config_file, tmp_path):
         ("wavelet", "scales", 1),
         ("evaluate", "jobs", 0),
         ("evaluate", "rolling_n", 0),
+        ("evaluate", "tlag_min", 5),  # above tlag_max
         ("features", "entropy_bins", 0),
         ("features", "time_domain", "ture"),
         ("wavelet", "omega0", -6),
@@ -735,6 +781,10 @@ def _corrupt(case, payload):
         tree["feature"][0] += 0.5  # would load as the integer below it
     elif case == "leaf-is-nan":
         tree["value"] = [float("nan")] * len(tree["value"])
+    elif case == "format-version-2":
+        payload["format_version"] = 2
+    elif case == "unknown-kind":
+        payload["kind"] = "forest"
     elif case.startswith("member-"):  # an ensemble of the model and a member whose header differs
         member = {**payload, "feature_layout": "time-v9"}
         if case == "member-width-differs":
@@ -748,7 +798,7 @@ def _corrupt(case, payload):
     "case",
     ["missing-kind", "missing-spec", "missing-trees", "missing-tree-key", "unequal-lengths",
      "child-out-of-range", "child-loops-back", "feature-out-of-range", "feature-is-fractional",
-     "leaf-is-nan", "member-layout-differs", "member-width-differs"],
+     "leaf-is-nan", "member-layout-differs", "member-width-differs", "format-version-2", "unknown-kind"],
 )
 def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsys):
     flags, payload = model_payload
@@ -762,6 +812,30 @@ def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsy
     assert err.startswith(f"error[3]: {path}")
     if case.startswith("member-"):
         assert err.startswith(f"error[3]: {path}: member 1: ")
+
+
+@pytest.mark.parametrize("case", ["ensemble-without-uq-th", "subject-shorter-than-a-window"])
+def test_predict_refuses_what_it_cannot_estimate(case, model_payload, tmp_path, capsys):
+    from sproutcast.ingest import Dataset, write_dataset
+    from conftest import make_recording
+
+    flags, payload = model_payload
+    path = tmp_path / "model.json"
+    manifest = tmp_path / "missing.json"
+    if case == "ensemble-without-uq-th":
+        header = {key: payload[key] for key in ("format_version", "feature_layout", "n_features", "spec")}
+        payload = {**header, "kind": "ensemble", "n_members": 2, "members": [payload, payload]}
+    else:  # half a day at the model's rate
+        manifest = write_dataset(Dataset([make_recording("short", days=0.5, rate=RATE)], "short"), tmp_path / "data")
+    path.write_text(json.dumps(payload))
+    code = main(["predict", "--model", str(path), *flags, "--manifest", str(manifest)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if case == "ensemble-without-uq-th":
+        assert err.startswith(f"error[3]: {path}: --uq-th is required")
+    else:
+        assert err.startswith(f"error[3]: {manifest}: subject 'short' is shorter than one window")
 
 
 def test_predict_accepts_uncorrupted_model_file(model_payload, tmp_path, capsys):

@@ -56,6 +56,11 @@ def test_duplicate_subject_id_names_offender(tmp_path):
     subjects = [subject_entry(tmp_path, "p01"), subject_entry(tmp_path, "p01")]
     with pytest.raises(IngestError, match="p01"):
         load_dataset(write_manifest(tmp_path, subjects))
+    # the duplicate is found before any CSV is read, so a missing one does not hide it
+    subjects = [subject_entry(tmp_path, "p01"), subject_entry(tmp_path, "p02"), subject_entry(tmp_path, "p01")]
+    subjects[1]["signal_path"] = "missing.csv"
+    with pytest.raises(IngestError, match=r"manifest\.json subject 'p01': duplicate subject_id"):
+        load_dataset(write_manifest(tmp_path, subjects))
 
 
 def test_mixed_variety_composition_64_subjects(tmp_path):

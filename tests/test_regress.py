@@ -169,6 +169,13 @@ def test_ensemble_hand_computed_t_interval():
     s = math.sqrt(20.0 / 9.0)  # sum of squared deviations = 20, ddof = 1
     assert half == pytest.approx(T_CRIT_975_DF9 * s / math.sqrt(10), abs=1e-12)
     assert half == pytest.approx(1.07, abs=0.01)
+    # any other member count takes its critical value from scipy
+    from scipy.stats import t
+
+    values = [15.0, 19.0, 20.0, 26.0]
+    ens = Ensemble([constant_model(v) for v in values], np.zeros(1, dtype=np.int32), RegressorSpec(), "", 1)
+    _, half = ensemble_predict(ens, np.zeros(1))
+    assert half == t.ppf(0.975, 3) * np.std(values, ddof=1) / 2
 
 
 def test_ensemble_mean_bounded_by_members(rng):
@@ -300,7 +307,7 @@ def split_problems(draw):
     # min_samples_leaf from 1 to just past the n // 2 limit
     msl = draw(st.integers(1, n // 2 + 1))
     keep = draw(arrays(bool, n))
-    rows = np.flatnonzero(keep) if keep.sum() >= 2 and not keep.all() else None
+    rows = np.flatnonzero(keep) if keep.sum() >= 2 else np.arange(n)
     return x, r, msl, rows
 
 
@@ -310,10 +317,9 @@ def test_presorted_split_matches_reference(problem):
     x, r, msl, rows = problem
     search = _SplitSearch(x, RegressorSpec(max_depth=1, min_samples_leaf=msl))
     search.residual[:] = r
-    node_rows, block = search.root(rows)
-    picked = None if block is None else search.best_split(block, len(node_rows))
-    sub = slice(None) if rows is None else rows
-    assert picked == reference_best_split(x[sub], r[sub], msl)
+    block = search.root(rows)
+    picked = None if block is None else search.best_split(block, len(rows))
+    assert picked == reference_best_split(x[rows], r[rows], msl)
 
 
 @pytest.mark.parametrize("subsample", [0.7, 1.0])
