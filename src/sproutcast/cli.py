@@ -19,15 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from sproutcast import __version__
+from sproutcast import __version__, synth
 from sproutcast.config import SECTIONS, ConfigError, PipelineConfig, option_flag, resolve_config
 from sproutcast.estimate import aggregate, window_estimates
 from sproutcast.evaluate import compute_metrics, loo_cv, report_from_dict, write_curves, write_report
-from sproutcast.features import build_dataset, extract_subject_features, iter_transforms, layout_version
-from sproutcast.ingest import IngestError, day_offset_date, load_dataset, read_json, write_dataset, write_json, write_signal_csv
+from sproutcast.features import build_dataset, extract_subject_features, layout_version
+from sproutcast.ingest import (
+    IngestError, day_offset_date, iter_recordings, load_manifest, read_json, write_json, write_recording, write_signal_csv
+)
 from sproutcast.preprocess import condition
 from sproutcast.regress import Ensemble, fit_config, load_model, save_model
-from sproutcast.synth import SynthConfig, generate
 
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
@@ -94,39 +95,41 @@ def _output(path: str | Path | None, directory: bool = False) -> Path | None:
 
 def cmd_synth(args: argparse.Namespace) -> _Written:
     given = vars(args)  # only the flags given: SynthConfig holds the defaults
-    values = {f.name: given[f.name] for f in dataclasses.fields(SynthConfig) if f.name in given}
+    values = {f.name: given[f.name] for f in dataclasses.fields(synth.SynthConfig) if f.name in given}
     if "band_low" in given or "band_high" in given:
-        low, high = SynthConfig.signature_band_hz
+        low, high = synth.SynthConfig.signature_band_hz
         values["signature_band_hz"] = (given.get("band_low", low), given.get("band_high", high))
     if given.get("raw_256hz"):
         values["sample_rate_hz"] = 256.0
-    cfg = SynthConfig(**values)
+    cfg = synth.SynthConfig(**values)
     out_dir = _output(args.out, directory=True)
-    dataset = generate(cfg)
-    if given.get("label"):
-        dataset = dataclasses.replace(dataset, label=given["label"])
-    manifest = write_dataset(dataset, out_dir)
+    label = given.get("label") or cfg.label
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # each subject is written as it is generated
+    subjects = [write_recording(rec, out_dir) for rec in synth.iter_recordings(cfg)]
+    manifest = write_json(out_dir / "manifest.json", {"label": label, "subjects": subjects})
     print(manifest)
-    return out_dir, dataclasses.asdict(cfg) | {"label": dataset.label}, [manifest]
+    return out_dir, dataclasses.asdict(cfg) | {"label": label}, [manifest]
 
 
 def cmd_preprocess(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     manifest_path = Path(args.manifest)
     out_manifest = _output(manifest_path.with_suffix(".conditioned.json"))
-    dataset = load_dataset(manifest_path)
+    manifest = load_manifest(manifest_path)
     base = manifest_path.parent
-    by_id = {entry["id"]: entry for entry in read_json(manifest_path)["subjects"]}
-    subjects = [dict(by_id[rec.subject_id]) for rec in dataset.recordings]
+    subjects = [dict(entry) for entry in manifest.entries]
     outputs = []
     for entry in subjects:  # every output is checked before the first is written
         entry["signal_path"] = str(Path(entry["signal_path"]).with_suffix(".conditioned.csv"))
         outputs.append(_output(base / entry["signal_path"]))
-    for rec, entry, out_path in zip(dataset.recordings, subjects, outputs):
+    # a run that fails part-way leaves no earlier run's manifest beside the CSVs it wrote
+    out_manifest.unlink(missing_ok=True)
+    for rec, entry, out_path in zip(iter_recordings(manifest), subjects, outputs):
         conditioned = condition(rec, cfg)
         write_signal_csv(out_path, conditioned.samples, conditioned.sample_rate_hz)
         entry["sample_rate_hz"] = conditioned.sample_rate_hz
-    write_json(out_manifest, {"label": dataset.label, "subjects": subjects})
+    write_json(out_manifest, {"label": manifest.label, "subjects": subjects})
     outputs.append(out_manifest)
     print(out_manifest)
     return base, cfg, outputs
@@ -136,8 +139,17 @@ def cmd_features(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     out_path = _output(args.out)
     scalogram_dir = _output(args.dump_scalogram, directory=True)
-    dataset = load_dataset(args.manifest)
-    example_set = build_dataset(dataset, cfg)
+    manifest = load_manifest(args.manifest, labelled=True)
+    scalograms: list[Path] = []
+
+    def dump(window, tw) -> None:  # each window's scalogram, in the featurizing pass
+        path = scalogram_dir / f"{window.subject_id}_w{window.window_index:04d}.csv"
+        np.savetxt(path, tw.coefficients, delimiter=",", fmt="%.8g")
+        scalograms.append(path)
+
+    if scalogram_dir:
+        scalogram_dir.mkdir(parents=True, exist_ok=True)
+    example_set = build_dataset(iter_recordings(manifest), cfg, dump if scalogram_dir else None)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     header = "subject_id,window_index,day_offset,target_days," + ",".join(
         f"f_{i:03d}" for i in range(example_set.x.shape[1])
@@ -148,29 +160,15 @@ def cmd_features(args: argparse.Namespace) -> _Written:
         for fv, target, row in zip(example_set.features, example_set.y.tolist(), example_set.x.tolist())
     ]
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    outputs = [out_path]
-    if scalogram_dir:
-        outputs += _dump_scalograms(dataset, cfg, scalogram_dir)
     print(out_path)
-    return out_path.parent, cfg, outputs
-
-
-def _dump_scalograms(dataset, cfg: PipelineConfig, out_dir: Path) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for rec in dataset.recordings:
-        for w, tw, _ in iter_transforms(rec, cfg):
-            path = out_dir / f"{rec.subject_id}_w{w.window_index:04d}.csv"
-            np.savetxt(path, tw.coefficients, delimiter=",", fmt="%.8g")
-            written.append(path)
-    return written
+    return out_path.parent, cfg, [out_path, *scalograms]
 
 
 def cmd_train(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     model_out = _output(args.model_out)
-    dataset = load_dataset(args.manifest)
-    example_set = build_dataset(dataset, cfg)
+    manifest = load_manifest(args.manifest, labelled=True)
+    example_set = build_dataset(iter_recordings(manifest), cfg)
     model = fit_config(example_set.x, example_set.y, cfg, example_set.layout)
     model_path = save_model(model, model_out)
     print(model_path)
@@ -189,9 +187,9 @@ def cmd_predict(args: argparse.Namespace) -> _Written:
         )
     if isinstance(model, Ensemble) and cfg.uq_th is None:
         raise ConfigError(f"{args.model}: --uq-th is required when predicting with an ensemble model")
-    dataset = load_dataset(args.manifest)
+    manifest = load_manifest(args.manifest)
     results = []
-    for rec in dataset.recordings:
+    for rec in iter_recordings(manifest):
         fvs = extract_subject_features(rec, cfg)
         if not fvs:
             raise ConfigError(f"{args.manifest}: subject {rec.subject_id!r} is shorter than one window; nothing to predict")
@@ -207,6 +205,7 @@ def cmd_predict(args: argparse.Namespace) -> _Written:
                 "fallback_used": subject.fallback_used,
             }
         )
+        del rec  # the next subject is read without this one beside it
     for row in results:
         print(json.dumps(row, sort_keys=True))
     if out is None:
@@ -219,9 +218,9 @@ def cmd_evaluate(args: argparse.Namespace) -> _Written:
     cfg = _resolve(args)
     out = _output(args.out)
     curves_dir = _output(args.curves_dir, directory=True)
-    dataset = load_dataset(args.manifest)
-    folds = loo_cv(dataset, cfg)
-    report = compute_metrics(folds, cfg, label=dataset.label)
+    manifest = load_manifest(args.manifest, labelled=True)
+    folds = loo_cv(build_dataset(iter_recordings(manifest), cfg), cfg)
+    report = compute_metrics(folds, cfg, label=manifest.label)
     out_path = write_report(report, out)
     outputs = [out_path]
     if curves_dir:

@@ -10,7 +10,7 @@ under a different layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -267,49 +267,48 @@ def build_feature_vector(
     )
 
 
-def iter_transforms(
-    rec: Recording, cfg: PipelineConfig
-) -> Iterator[tuple[SignalWindow, TransformedWindow, ScalePlan]]:
-    """Condition and segment one recording; yield each window with its |CWT|."""
+def extract_subject_features(
+    rec: Recording,
+    cfg: PipelineConfig,
+    on_transform: Callable[[SignalWindow, TransformedWindow], None] | None = None,
+) -> list[FeatureVector]:
+    """Condition, segment and featurize one recording (no labels needed).
+
+    Each window's |CWT| is dropped before the next one is made.  If given,
+    ``on_transform`` receives every window with its |CWT| first; the
+    transform is then made in time-domain mode too, where no feature uses it.
+    """
     rec = condition(rec, cfg)
     windows = segment(rec, cfg.window_seconds)
-    if not windows:
-        return
-    plan = plan_scales(rec.sample_rate_hz, len(windows[0].samples), cfg.scales, cfg.omega0)
+    plan = None
+    if windows and (on_transform is not None or not cfg.time_domain):
+        plan = plan_scales(rec.sample_rate_hz, len(windows[0].samples), cfg.scales, cfg.omega0)
+    vectors = []
     for w in windows:
-        yield w, cwt(w, plan), plan
-
-
-def extract_subject_features(rec: Recording, cfg: PipelineConfig) -> list[FeatureVector]:
-    """Condition, segment and featurize one recording (no labels needed)."""
-    if cfg.time_domain:
-        return [
-            FeatureVector(
-                subject_id=w.subject_id,
-                window_index=w.window_index,
-                day_offset=w.day_offset,
-                values=_feature_row(w.samples, cfg.entropy_bins),
-            )
-            for w in segment(condition(rec, cfg), cfg.window_seconds)
-        ]
-    return [
-        build_feature_vector(
-            tw, plan, subject_id=w.subject_id, day_offset=w.day_offset, entropy_bins=cfg.entropy_bins
-        )
-        for w, tw, plan in iter_transforms(rec, cfg)
-    ]
+        tw = cwt(w, plan) if plan is not None else None
+        if on_transform is not None:
+            on_transform(w, tw)
+        if cfg.time_domain:
+            values = _feature_row(w.samples, cfg.entropy_bins)
+            vectors.append(FeatureVector(w.subject_id, w.window_index, w.day_offset, values))
+        else:
+            vectors.append(build_feature_vector(tw, plan, w.subject_id, w.day_offset, cfg.entropy_bins))
+        del tw
+    return vectors
 
 
 def build_dataset(
     recordings: Dataset | Iterable[Recording],
     cfg: PipelineConfig | None = None,
+    on_transform: Callable[[SignalWindow, TransformedWindow], None] | None = None,
 ) -> ExampleSet:
     """Assemble the supervised dataset over all labelled recordings.
 
     Each retained window becomes one row with target D_j - d_i in whole
     days.  Row order is deterministic: subjects sorted by id, windows by
-    index.  Accepts any iterable of recordings so large synthetic corpora
-    can be streamed one subject at a time.
+    index, whatever order the recordings come in.  Accepts any iterable of
+    recordings, so a corpus can be streamed one subject at a time;
+    ``on_transform`` is passed to ``extract_subject_features``.
     """
     cfg = cfg or PipelineConfig()
     if isinstance(recordings, Dataset):
@@ -323,7 +322,7 @@ def build_dataset(
         if rec.subject_id in per_subject:
             raise IngestError(f"duplicate subject_id {rec.subject_id!r}")
         d_true = rec.sprouting_day_offset
-        vectors = extract_subject_features(rec, cfg)
+        vectors = extract_subject_features(rec, cfg, on_transform)
         for fv in vectors:
             if fv.day_offset > d_true:
                 raise IngestError(
@@ -332,6 +331,7 @@ def build_dataset(
                 )
         per_subject[rec.subject_id] = vectors
         true_day[rec.subject_id] = d_true
+        del rec  # the next subject is read without this one beside it
     ids = sorted(per_subject)
     features = [fv for sid in ids for fv in per_subject[sid]]
     return ExampleSet(
@@ -353,7 +353,6 @@ __all__ = [
     "layout_version",
     "extract_scale_features",
     "build_feature_vector",
-    "iter_transforms",
     "extract_subject_features",
     "build_dataset",
 ]

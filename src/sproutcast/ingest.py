@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -78,13 +79,7 @@ class Recording:
         if not np.isfinite(samples).all():
             bad = int(np.flatnonzero(~np.isfinite(samples))[0])
             raise IngestError(f"subject {self.subject_id!r}: non-finite sample at index {bad}")
-        if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
-            raise IngestError(f"subject {self.subject_id!r}: sample_rate_hz must be positive and finite")
-        if self.sprouting_day is not None and self.sprouting_day < self.start_day:
-            raise IngestError(
-                f"subject {self.subject_id!r}: sprouting_day {self.sprouting_day} "
-                f"precedes start_day {self.start_day}"
-            )
+        _check_metadata(self.subject_id, self.sample_rate_hz, self.start_day, self.sprouting_day)
 
     @property
     def sprouting_day_offset(self) -> int | None:
@@ -116,9 +111,22 @@ class Dataset:
 
     def require_labels(self) -> None:
         """Raise unless every recording carries a ground-truth sprouting day."""
-        missing = [rec.subject_id for rec in self.recordings if rec.sprouting_day is None]
-        if missing:
-            raise IngestError(f"recordings without sprouting_day: {', '.join(sorted(missing))}")
+        _check_labelled((rec.subject_id, rec.sprouting_day) for rec in self.recordings)
+
+
+def _check_metadata(subject_id: str, sample_rate_hz: float, start_day: date, sprouting_day: date | None) -> None:
+    """The checks of a Recording that need none of its samples."""
+    if not (sample_rate_hz > 0 and math.isfinite(sample_rate_hz)):
+        raise IngestError(f"subject {subject_id!r}: sample_rate_hz must be positive and finite")
+    if sprouting_day is not None and sprouting_day < start_day:
+        raise IngestError(f"subject {subject_id!r}: sprouting_day {sprouting_day} precedes start_day {start_day}")
+
+
+def _check_labelled(subjects: Iterable[tuple[str, date | None]]) -> None:
+    """Raise unless every (subject id, sprouting day) pair has its day."""
+    missing = [sid for sid, sprouting_day in subjects if sprouting_day is None]
+    if missing:
+        raise IngestError(f"recordings without sprouting_day: {', '.join(sorted(missing))}")
 
 
 def _parse_date(value: str, context: str) -> date:
@@ -381,17 +389,33 @@ def write_signal_csv(path: Path, samples: np.ndarray, sample_rate_hz: float) -> 
         _write_sidecar(_sidecar_path(path), digest.digest(), samples)
 
 
-def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load a manifest JSON and referenced signal CSVs into a Dataset.
+@dataclass(frozen=True)
+class Manifest:
+    """A checked manifest: its label, and per subject its entry as the JSON
+    holds it, the fields of its Recording (all but the samples) and its CSV."""
 
-    Signal paths in the manifest are resolved relative to the manifest's
-    directory.  Every invariant of Recording and Dataset is enforced here;
-    each failure names the manifest or signal CSV at fault, and the subject.
+    path: Path
+    label: str
+    entries: list[dict]
+    fields: list[dict]
+    signal_paths: list[Path]
+
+
+def load_manifest(manifest_path: str | Path, labelled: bool = False) -> Manifest:
+    """Read and check a manifest JSON, and no signal CSV.
+
+    Signal paths are resolved relative to the manifest's directory.  Every
+    check the manifest alone can answer is made here, in this order: each
+    entry's fields, ids and dates; that every signal path is an existing
+    file; that each sample rate is positive and finite and no sprouting_day
+    precedes its start_day; and, if ``labelled``, that every subject has a
+    sprouting_day.  Each failure names the manifest or file at fault, and
+    the subject.
     """
     manifest_path = Path(manifest_path)
     manifest = check_fields(read_json(manifest_path), {"subjects": list}, str(manifest_path), {"label": str})
     base = manifest_path.parent
-    subjects, signal_paths, seen = [], [], set()
+    recording_fields, seen = [], set()
     for i, entry in enumerate(manifest["subjects"]):
         if isinstance(entry, dict):
             where = f"{manifest_path} subject {entry.get('id', i)!r}"
@@ -402,7 +426,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             raise IngestError(f"{where}: duplicate subject_id")
         seen.add(entry["id"])
         sprouting = entry.get("sprouting_day")
-        subjects.append(
+        recording_fields.append(
             dict(
                 subject_id=entry["id"],
                 variety=entry["variety"],
@@ -412,14 +436,57 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
                 sprouting_day=_parse_date(sprouting, where) if sprouting is not None else None,
             )
         )
-        signal_paths.append(base / entry["signal_path"])
-    # every entry is checked before the first CSV is read
-    samples = [read_signal_csv(path) for path in signal_paths]
+    signal_paths = [_input_file(base / entry["signal_path"]) for entry in manifest["subjects"]]
     try:
-        recordings = [Recording(samples=x, **fields) for x, fields in zip(samples, subjects)]
-        return Dataset(recordings, manifest.get("label", manifest_path.stem))
+        for f in recording_fields:
+            _check_metadata(f["subject_id"], f["sample_rate_hz"], f["start_day"], f["sprouting_day"])
     except IngestError as exc:
         raise IngestError(f"{manifest_path}: {exc}") from exc
+    if labelled:
+        _check_labelled((f["subject_id"], f["sprouting_day"]) for f in recording_fields)
+    label = manifest.get("label", manifest_path.stem)
+    return Manifest(manifest_path, label, manifest["subjects"], recording_fields, signal_paths)
+
+
+def _read_recording(manifest: Manifest, index: int) -> Recording:
+    samples = read_signal_csv(manifest.signal_paths[index])
+    try:
+        return Recording(samples=samples, **manifest.fields[index])
+    except IngestError as exc:
+        raise IngestError(f"{manifest.path}: {exc}") from exc
+
+
+def iter_recordings(manifest: Manifest) -> Iterator[Recording]:
+    """Read the manifest's signal CSVs one at a time, in manifest order, and
+    yield each subject's Recording; a fault in a CSV's content is found when
+    that CSV is read."""
+    for index in range(len(manifest.fields)):
+        # built in a call, so the suspended generator holds no samples
+        yield _read_recording(manifest, index)
+
+
+def load_dataset(manifest_path: str | Path) -> Dataset:
+    """Load a manifest and every signal CSV it names into a Dataset
+    (``load_manifest``, then ``iter_recordings``)."""
+    manifest = load_manifest(manifest_path)
+    return Dataset(list(iter_recordings(manifest)), manifest.label)
+
+
+def write_recording(rec: Recording, out_dir: Path) -> dict:
+    """Write one recording's signal CSV into ``out_dir``; returns its manifest entry."""
+    signal_name = f"{rec.subject_id}.csv"
+    write_signal_csv(out_dir / signal_name, rec.samples, rec.sample_rate_hz)
+    entry: dict = {
+        "id": rec.subject_id,
+        "variety": rec.variety,
+        "storage_temp_c": rec.storage_temp_c,
+        "sample_rate_hz": rec.sample_rate_hz,
+        "start_day": rec.start_day.isoformat(),
+        "signal_path": signal_name,
+    }
+    if rec.sprouting_day is not None:
+        entry["sprouting_day"] = rec.sprouting_day.isoformat()
+    return entry
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "manifest.json") -> Path:
@@ -429,21 +496,7 @@ def write_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "m
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    subjects = []
-    for rec in dataset.recordings:
-        signal_name = f"{rec.subject_id}.csv"
-        write_signal_csv(out_dir / signal_name, rec.samples, rec.sample_rate_hz)
-        entry: dict = {
-            "id": rec.subject_id,
-            "variety": rec.variety,
-            "storage_temp_c": rec.storage_temp_c,
-            "sample_rate_hz": rec.sample_rate_hz,
-            "start_day": rec.start_day.isoformat(),
-            "signal_path": signal_name,
-        }
-        if rec.sprouting_day is not None:
-            entry["sprouting_day"] = rec.sprouting_day.isoformat()
-        subjects.append(entry)
+    subjects = [write_recording(rec, out_dir) for rec in dataset.recordings]
     return write_json(out_dir / manifest_name, {"label": dataset.label, "subjects": subjects})
 
 
@@ -458,12 +511,16 @@ __all__ = [
     "NUMBER",
     "Recording",
     "Dataset",
+    "Manifest",
     "read_text",
     "read_json",
     "write_json",
     "read_signal_csv",
     "write_signal_csv",
+    "load_manifest",
+    "iter_recordings",
     "load_dataset",
+    "write_recording",
     "write_dataset",
     "day_offset_date",
 ]

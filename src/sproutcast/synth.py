@@ -51,6 +51,10 @@ class SynthConfig:
         self.samples_per_day  # raises ConfigError unless a day is a whole number of samples
 
     @property
+    def label(self) -> str:
+        return f"synthetic-seed{self.seed}"
+
+    @property
     def samples_per_day(self) -> int:
         return window_width(SECONDS_PER_DAY, self.sample_rate_hz, ("seconds per day", "sample_rate_hz"))
 
@@ -132,7 +136,7 @@ def generate(cfg: SynthConfig) -> Dataset:
     """Materialize the whole synthetic dataset."""
     return Dataset(
         recordings=list(iter_recordings(cfg)),
-        label=f"synthetic-seed{cfg.seed}",
+        label=cfg.label,
     )
 
 

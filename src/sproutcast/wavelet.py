@@ -97,10 +97,18 @@ def morlet_kernel(scale: float, window_len: int, omega0: float = PipelineConfig.
     return psi / np.sqrt(np.add.reduce(psi.real * psi.real) + np.add.reduce(psi.imag * psi.imag))
 
 
-@lru_cache(maxsize=16)
 def _kernel_ffts(window_len: int, omega0: float, scales: tuple[float, ...]) -> np.ndarray:
-    kernels = np.stack([morlet_kernel(s, window_len, omega0) for s in scales])
-    return np.fft.fft(kernels, axis=1)
+    """The (K, W) kernel spectra, each row transformed into its place."""
+    out = np.empty((len(scales), window_len), dtype=np.complex128)
+    for row, scale in zip(out, scales):
+        np.fft.fft(morlet_kernel(scale, window_len, omega0), out=row)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _plan_buffers(window_len: int, omega0: float, scales: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A plan's kernel spectra, and the (K, W) work buffer ``cwt`` multiplies and inverts in."""
+    return _kernel_ffts(window_len, omega0, scales), np.empty((len(scales), window_len), dtype=np.complex128)
 
 
 def _check_window(window: SignalWindow, plan: ScalePlan) -> np.ndarray:
@@ -113,12 +121,17 @@ def _check_window(window: SignalWindow, plan: ScalePlan) -> np.ndarray:
 
 
 def cwt(window: SignalWindow, plan: ScalePlan) -> TransformedWindow:
-    """FFT-accelerated circular CWT of one window; returns (K, W) magnitudes."""
+    """FFT-accelerated circular CWT of one window; returns (K, W) magnitudes.
+
+    The product and its inverse FFT reuse the plan's work buffer; the
+    magnitudes are a new array, which no later call overwrites.
+    """
     x = _check_window(window, plan)
     x = x - x.mean()
     spectrum = np.fft.fft(x)
-    kernel_ffts = _kernel_ffts(plan.window_len, plan.omega0, tuple(plan.scales))
-    coeffs = np.abs(np.fft.ifft(spectrum[None, :] * kernel_ffts, axis=1))
+    kernel_ffts, work = _plan_buffers(plan.window_len, plan.omega0, tuple(plan.scales))
+    np.multiply(spectrum[None, :], kernel_ffts, out=work)
+    coeffs = np.abs(np.fft.ifft(work, axis=1, out=work))
     return TransformedWindow(window_index=window.window_index, coefficients=coeffs)
 
 

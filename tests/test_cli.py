@@ -1,18 +1,25 @@
 import argparse
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sproutcast import cli
+from sproutcast import cli, features, ingest
 from sproutcast.cli import build_parser, main
 from sproutcast.config import ConfigError, PipelineConfig, load_config_file, resolve_config
 from sproutcast.features import build_dataset
-from sproutcast.ingest import load_dataset
+from sproutcast.ingest import Dataset, load_dataset, write_dataset, write_signal_csv
+from sproutcast.preprocess import condition, segment
 from sproutcast.synth import SynthConfig
+from sproutcast.wavelet import cwt, plan_scales
+
+from conftest import make_recording
 
 RATE = 1 / 96  # 900 samples per day: fast but still a real multi-stage pipeline
 
@@ -897,3 +904,175 @@ def test_report_rejects_corrupt_report_file(case, report_payload, tmp_path, caps
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error[3]: {path}")
+
+
+# ------------------------------------------------------------ one subject in memory at a time
+
+
+def _edit_manifest(data: Path, edit) -> Path:
+    path = data / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["subjects"])
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _unlabel_last_two(subjects):
+    for entry in subjects[2:]:
+        del entry["sprouting_day"]
+
+
+def _sprout_before_start_last(subjects):
+    subjects[-1]["sprouting_day"] = "2023-09-30"
+
+
+def _missing_last_csv(subjects):
+    subjects[-1]["signal_path"] = "missing.csv"
+
+
+_COMMANDS = {
+    "train": "train --model-out {out}/m.json",
+    "evaluate": "evaluate --out {out}/r.json",
+    "features": "features --out {out}/f.csv",
+    "predict": "predict --model {out}/model.json",
+}
+
+
+def _run(command, manifest, config_file, out, model_payload) -> int:
+    if command == "predict":
+        (out / "model.json").write_text(json.dumps(model_payload[1]))
+    argv = _COMMANDS[command].format(out=out).split()
+    return main([*argv[:1], "--manifest", str(manifest), "--config", str(config_file), *argv[1:]])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "features", "train"])
+def test_unlabelled_subjects_are_refused_before_any_featurizing(
+    command, synth_dir, config_file, model_payload, tmp_path, monkeypatch, capsys
+):
+    manifest = _edit_manifest(synth_dir, _unlabel_last_two)
+    reads = _count_calls(monkeypatch, ingest, "read_signal_csv")
+    capsys.readouterr()
+    assert _run(command, manifest, config_file, tmp_path, model_payload) == 3
+    assert capsys.readouterr().err == "error[3]: recordings without sprouting_day: p002, p003\n"
+    assert not reads
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_sprouting_before_start_in_the_last_entry_is_refused_first(
+    command, synth_dir, config_file, model_payload, tmp_path, monkeypatch, capsys
+):
+    manifest = _edit_manifest(synth_dir, _sprout_before_start_last)
+    reads = _count_calls(monkeypatch, ingest, "read_signal_csv")
+    capsys.readouterr()
+    assert _run(command, manifest, config_file, tmp_path, model_payload) == 3
+    err = capsys.readouterr().err
+    assert err == f"error[3]: {manifest}: subject 'p003': sprouting_day 2023-09-30 precedes start_day 2023-10-01\n"
+    assert not reads
+
+
+def test_predict_reports_a_missing_csv_before_a_short_subject(
+    synth_dir, config_file, model_payload, tmp_path, monkeypatch, capsys
+):
+    write_signal_csv(synth_dir / "p000.csv", np.ones(100), RATE)  # shorter than one window
+    manifest = _edit_manifest(synth_dir, _missing_last_csv)
+    reads = _count_calls(monkeypatch, ingest, "read_signal_csv")
+    capsys.readouterr()
+    assert _run("predict", manifest, config_file, tmp_path, model_payload) == 4
+    assert capsys.readouterr().err == f"error[4]: file not found: {synth_dir / 'missing.csv'}\n"
+    assert not reads
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_a_fault_in_a_csv_keeps_its_message(command, synth_dir, config_file, model_payload, tmp_path, capsys):
+    csv = synth_dir / "p002.csv"
+    header, first, rest = csv.read_bytes().split(b"\n", 2)
+    csv.write_bytes(b"\n".join([header, first, b"1.5,nan", rest]))  # found only when p002 is read
+    capsys.readouterr()
+    assert _run(command, synth_dir / "manifest.json", config_file, tmp_path, model_payload) == 3
+    assert capsys.readouterr().err == f"error[3]: {csv}: non-finite voltage at row 3\n"
+
+
+def test_preprocess_refuses_a_bad_rate_in_the_last_entry_before_writing(synth_dir, config_file, capsys):
+    manifest = _edit_manifest(synth_dir, lambda subjects: subjects[-1].update(sample_rate_hz=0))
+    capsys.readouterr()
+    assert main(["preprocess", "--manifest", str(manifest), "--config", str(config_file)]) == 3
+    assert capsys.readouterr().err == f"error[3]: {manifest}: subject 'p003': sample_rate_hz must be positive and finite\n"
+    assert not list(synth_dir.glob("*.conditioned.*"))
+
+
+def test_preprocess_failing_part_way_leaves_no_earlier_manifest(synth_dir, config_file, capsys):
+    argv = ["preprocess", "--manifest", str(synth_dir / "manifest.json"), "--config", str(config_file)]
+    assert main(argv) == 0
+    csv = synth_dir / "p003.csv"
+    header, first, rest = csv.read_bytes().split(b"\n", 2)
+    csv.write_bytes(b"\n".join([header, first, b"1.5,nan", rest]))
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error[3]: {csv}: non-finite voltage at row 3\n"
+    assert not (synth_dir / "manifest.conditioned.json").exists()
+
+
+def test_features_dump_scalogram_reads_and_transforms_each_once(synth_dir, config_file, tmp_path, monkeypatch):
+    manifest = synth_dir / "manifest.json"
+    flags = ["--manifest", str(manifest), "--config", str(config_file)]
+    reads = _count_calls(monkeypatch, ingest, "read_signal_csv")
+    transforms = _count_calls(monkeypatch, features, "cwt")
+    dump = tmp_path / "scalograms"
+    assert main(["features", *flags, "--out", str(tmp_path / "dumped.csv"), "--dump-scalogram", str(dump)]) == 0
+    assert sorted(path.name for (path,) in reads) == [f"p{i:03d}.csv" for i in range(4)]
+    n_transforms = len(transforms)
+    monkeypatch.undo()
+    # every scalogram is the text of its window's |CWT|, as np.savetxt writes it
+    cfg = resolve_config(config_file, {})
+    windows = [w for rec in load_dataset(manifest).recordings for w in segment(condition(rec, cfg), cfg.window_seconds)]
+    assert n_transforms == len(windows)
+    plan = plan_scales(cfg.target_hz, len(windows[0].samples), cfg.scales, cfg.omega0)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for w in windows:
+        np.savetxt(expected / f"{w.subject_id}_w{w.window_index:04d}.csv", cwt(w, plan).coefficients, delimiter=",", fmt="%.8g")
+    assert sorted(p.name for p in dump.iterdir()) == sorted(p.name for p in expected.iterdir())
+    for path in expected.iterdir():
+        assert (dump / path.name).read_bytes() == path.read_bytes()
+    # and the feature table is the one written without the dump
+    assert main(["features", *flags, "--out", str(tmp_path / "plain.csv")]) == 0
+    assert (tmp_path / "dumped.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def _peak_rss_mib(argv: list[str], log: Path) -> float:
+    """The peak resident memory of one CLI run in a child process, in MiB."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with log.open("wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "sproutcast.cli", *argv], env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, log.read_text()
+    return usage.ru_maxrss / 1024
+
+
+def test_peak_memory_does_not_grow_with_the_subject_count(tmp_path):
+    days = 3  # at 1 Hz: 259200 samples, about 2 MiB, per subject
+    manifest = write_dataset(Dataset([make_recording(f"p{i}", days=days) for i in range(6)], "memory"), tmp_path)
+    entries = json.loads(manifest.read_text())["subjects"]
+    peaks = {}
+    for n in (2, 6):
+        subset = tmp_path / f"first{n}.json"
+        subset.write_text(json.dumps({"label": "memory", "subjects": entries[:n]}))
+        argv = ["features", "--manifest", str(subset), "--out", str(tmp_path / f"f{n}.csv")]
+        peaks[n] = _peak_rss_mib(argv, tmp_path / f"first{n}.log")
+    one_subject = days * 86400 * 8 / 2**20
+    assert abs(peaks[6] - peaks[2]) < one_subject, peaks

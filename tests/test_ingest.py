@@ -13,7 +13,9 @@ from sproutcast.ingest import (
     Dataset,
     IngestError,
     Recording,
+    iter_recordings,
     load_dataset,
+    load_manifest,
     read_signal_csv,
     write_dataset,
     write_signal_csv,
@@ -61,6 +63,55 @@ def test_duplicate_subject_id_names_offender(tmp_path):
     subjects[1]["signal_path"] = "missing.csv"
     with pytest.raises(IngestError, match=r"manifest\.json subject 'p01': duplicate subject_id"):
         load_dataset(write_manifest(tmp_path, subjects))
+
+
+def _no_csv_read(monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(ingest, "read_signal_csv", refuse)
+
+
+# case -> (change to the last of three entries, labelled, error, message)
+_MANIFEST_FAULTS = {
+    "csv-missing": ({"signal_path": "gone.csv"}, False, FileNotFoundError, "file not found: .*gone.csv"),
+    "csv-is-a-directory": ({"signal_path": "."}, False, IngestError, "not a file"),
+    "sprouting-before-start": (
+        {"sprouting_day": "2023-09-30"}, False, IngestError,
+        r"manifest\.json: subject 'p2': sprouting_day 2023-09-30 precedes start_day 2023-10-01",
+    ),
+    "rate-not-positive": (
+        {"sample_rate_hz": 0}, False, IngestError,
+        r"manifest\.json: subject 'p2': sample_rate_hz must be positive and finite",
+    ),
+    "unlabelled": ({"sprouting_day": None}, True, IngestError, "^recordings without sprouting_day: p2$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MANIFEST_FAULTS))
+def test_load_manifest_finds_every_manifest_fault_before_reading_a_csv(case, tmp_path, monkeypatch):
+    change, labelled, error, message = _MANIFEST_FAULTS[case]
+    subjects = [subject_entry(tmp_path, f"p{i}") for i in range(3)]
+    subjects[-1].update(change)
+    path = write_manifest(tmp_path, [{k: v for k, v in s.items() if v is not None} for s in subjects])
+    _no_csv_read(monkeypatch)
+    with pytest.raises(error, match=message):
+        load_manifest(path, labelled=labelled)
+
+
+def test_iter_recordings_reads_one_csv_per_step(tmp_path, monkeypatch):
+    subjects = [subject_entry(tmp_path, f"p{i}", n=10 + i) for i in range(3)]
+    subjects[1].pop("sprouting_day")
+    _no_csv_read(monkeypatch)
+    manifest = load_manifest(write_manifest(tmp_path, subjects))
+    assert manifest.label == "ds" and manifest.entries == subjects
+    monkeypatch.undo()
+    read = []
+    monkeypatch.setattr(ingest, "read_signal_csv", lambda path: read.append(path.name) or read_signal_csv(path))
+    for i, rec in enumerate(iter_recordings(manifest)):
+        assert read == [f"p{j}.csv" for j in range(i + 1)]
+        assert (rec.subject_id, len(rec.samples)) == (f"p{i}", 10 + i)
+    assert load_dataset(manifest.path).subject_ids() == ["p0", "p1", "p2"]
 
 
 def test_mixed_variety_composition_64_subjects(tmp_path):

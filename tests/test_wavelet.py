@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sproutcast import wavelet
 from sproutcast.preprocess import SignalWindow
 from sproutcast.wavelet import cwt, cwt_direct, morlet_kernel, plan_scales
 
@@ -127,3 +128,36 @@ def test_kernel_is_unit_norm():
     for scale in (3.8, 20.0, 100.0):
         h = morlet_kernel(scale, 512)
         assert np.linalg.norm(h) == pytest.approx(1.0, rel=1e-12)
+
+
+def _stacked_kernel_ffts(plan):
+    return np.fft.fft(np.stack([morlet_kernel(s, plan.window_len, plan.omega0) for s in plan.scales]), axis=1)
+
+
+@pytest.mark.parametrize("width", [600, 1080, 2048, 86400])
+def test_row_wise_kernel_ffts_equal_the_stacked_transform(width):
+    plan = plan_scales(1.0, width, k=8)
+    rows = wavelet._kernel_ffts(width, plan.omega0, tuple(plan.scales))
+    assert rows.tobytes() == _stacked_kernel_ffts(plan).tobytes()
+
+
+@pytest.mark.parametrize("rate, width", [(1 / 80, 1080), (1.0, 86400), (1.0, 1001)])
+def test_cwt_bits_equal_the_one_shot_expression(rate, width, rng):
+    plan = plan_scales(rate, width, k=8)
+    x = 3.0 * rng.normal(size=width) + 1.0
+    # cwt as one expression, before it had a work buffer: the oracle of its bits
+    oracle = np.abs(np.fft.ifft(np.fft.fft(x - x.mean())[None] * _stacked_kernel_ffts(plan), axis=1))
+    assert cwt(window(x), plan).coefficients.tobytes() == oracle.tobytes()
+
+
+def test_cwt_results_share_no_memory(rng):
+    plan = plan_scales(1.0, 2048, k=6)
+    first = cwt(window(rng.normal(size=2048)), plan).coefficients
+    kept = first.copy()
+    second = cwt(window(rng.normal(size=2048)), plan).coefficients
+    kernel_ffts, work = wavelet._plan_buffers(plan.window_len, plan.omega0, tuple(plan.scales))
+    assert np.array_equal(np.abs(work), second)  # the second call ran in the cached buffer
+    for buffer in (second, work, kernel_ffts):
+        assert not np.shares_memory(first, buffer)
+    assert not np.shares_memory(second, work)
+    assert np.array_equal(first, kept)
