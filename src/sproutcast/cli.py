@@ -120,9 +120,16 @@ def cmd_preprocess(args: argparse.Namespace) -> _Written:
     base = manifest_path.parent
     subjects = [dict(entry) for entry in manifest.entries]
     outputs = []
+    # a CSV that one subject writes must be no other subject's output or input
+    claimed = {path.resolve(): f"subject {entry['id']!r} reads" for entry, path in zip(subjects, manifest.signal_paths)}
     for entry in subjects:  # every output is checked before the first is written
         entry["signal_path"] = str(Path(entry["signal_path"]).with_suffix(".conditioned.csv"))
-        outputs.append(_output(base / entry["signal_path"]))
+        out_path = _output(base / entry["signal_path"])
+        key = out_path.resolve()
+        if key in claimed:
+            raise ConfigError(f"{manifest_path}: subject {entry['id']!r} writes {out_path}, which {claimed[key]}")
+        claimed[key] = f"subject {entry['id']!r} writes"
+        outputs.append(out_path)
     # a run that fails part-way leaves no earlier run's manifest beside the CSVs it wrote
     out_manifest.unlink(missing_ok=True)
     for rec, entry, out_path in zip(iter_recordings(manifest), subjects, outputs):
@@ -150,6 +157,8 @@ def cmd_features(args: argparse.Namespace) -> _Written:
     if scalogram_dir:
         scalogram_dir.mkdir(parents=True, exist_ok=True)
     example_set = build_dataset(iter_recordings(manifest), cfg, dump if scalogram_dir else None)
+    if not example_set.features:
+        raise ConfigError(f"{args.manifest}: no subject holds a whole window; no features to write")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     header = "subject_id,window_index,day_offset,target_days," + ",".join(
         f"f_{i:03d}" for i in range(example_set.x.shape[1])

@@ -95,9 +95,11 @@ def layout_version(k: int, time_domain: bool = False) -> str:
 _PERCENTS = (5.0, 25.0, 50.0, 75.0, 95.0)
 # numpy's "linear" percentile rule puts quantile q at virtual index (n - 1) * q
 _QUANTILES = np.array(_PERCENTS) / 100
-# rows are sorted and reduced about 2 MiB at a time, so a 1 Hz day window
-# (8 scales x 86400 samples) never holds more than a few rows of temporaries
-_CHUNK_BYTES = 2 << 20
+# rows are sorted and reduced at most 512 KiB at a time, counted in bytes, not
+# rows: a 1 Hz day row (86400 samples, 675 KiB) is reduced on its own, so its
+# temporaries are a few rows long, while the 8 rows of a 1080-sample window
+# (68 KiB) are reduced in one chunk
+_CHUNK_BYTES = 512 << 10
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -186,7 +188,11 @@ def _reduce_chunk(x: np.ndarray, bins: int) -> np.ndarray:
     centered = x - mean[:, None]
     std = np.sqrt(np.add.reduce(centered * centered, axis=1) / n)
     energy = np.add.reduce(x * x, axis=1)
-    zero_crossings = np.count_nonzero(x[:, :-1] * x[:, 1:] < 0.0, axis=1)
+    # no product of two non-negative floats (-0.0 included) is < 0, so a row
+    # whose minimum is >= 0, as every |CWT| row is, has no zero crossing
+    zero_crossings = np.zeros(len(x), dtype=np.intp)
+    for row in np.flatnonzero(lo < 0.0):
+        zero_crossings[row] = np.count_nonzero(x[row, :-1] * x[row, 1:] < 0.0)
     mean_crossings = np.count_nonzero(centered[:, :-1] * centered[:, 1:] < 0.0, axis=1)
     return np.column_stack(
         [

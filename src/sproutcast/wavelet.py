@@ -106,9 +106,18 @@ def _kernel_ffts(window_len: int, omega0: float, scales: tuple[float, ...]) -> n
 
 
 @lru_cache(maxsize=16)
-def _plan_buffers(window_len: int, omega0: float, scales: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """A plan's kernel spectra, and the (K, W) work buffer ``cwt`` multiplies and inverts in."""
-    return _kernel_ffts(window_len, omega0, scales), np.empty((len(scales), window_len), dtype=np.complex128)
+def _plan_buffers(window_len: int, omega0: float, scales: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A plan's (K, W) kernel spectra, and two (W,) complex buffers for ``cwt``.
+
+    The first buffer holds the window's spectrum and the second the row that
+    one scale is multiplied and inverted in, so a transform's working set
+    beyond the spectra is two W-length rows, not a (K, W) block.
+    """
+    return (
+        _kernel_ffts(window_len, omega0, scales),
+        np.empty(window_len, dtype=np.complex128),
+        np.empty(window_len, dtype=np.complex128),
+    )
 
 
 def _check_window(window: SignalWindow, plan: ScalePlan) -> np.ndarray:
@@ -123,15 +132,21 @@ def _check_window(window: SignalWindow, plan: ScalePlan) -> np.ndarray:
 def cwt(window: SignalWindow, plan: ScalePlan) -> TransformedWindow:
     """FFT-accelerated circular CWT of one window; returns (K, W) magnitudes.
 
-    The product and its inverse FFT reuse the plan's work buffer; the
-    magnitudes are a new array, which no later call overwrites.
+    Each scale is convolved on its own (Torrence & Compo 1998): the window's
+    spectrum times the scale's kernel spectrum, inverted, in the plan's
+    W-length work row, and its magnitude written into row k of the result.
+    The magnitudes are a new array on every call, which no later call
+    overwrites.
     """
     x = _check_window(window, plan)
     x = x - x.mean()
-    spectrum = np.fft.fft(x)
-    kernel_ffts, work = _plan_buffers(plan.window_len, plan.omega0, tuple(plan.scales))
-    np.multiply(spectrum[None, :], kernel_ffts, out=work)
-    coeffs = np.abs(np.fft.ifft(work, axis=1, out=work))
+    kernel_ffts, spectrum, work = _plan_buffers(plan.window_len, plan.omega0, tuple(plan.scales))
+    np.fft.fft(x, out=spectrum)
+    coeffs = np.empty((plan.k, plan.window_len))
+    for kernel_fft, row in zip(kernel_ffts, coeffs):
+        np.multiply(spectrum, kernel_fft, out=work)
+        np.fft.ifft(work, out=work)
+        np.abs(work, out=row)
     return TransformedWindow(window_index=window.window_index, coefficients=coeffs)
 
 

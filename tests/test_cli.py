@@ -1024,6 +1024,54 @@ def test_preprocess_failing_part_way_leaves_no_earlier_manifest(synth_dir, confi
     assert not (synth_dir / "manifest.conditioned.json").exists()
 
 
+def _suffix_twin(data: Path, subjects) -> None:
+    # p001's samples under p000's name with another suffix: both condition to p000.conditioned.csv
+    shutil.copy(data / "p001.csv", data / "p000.txt")
+    subjects[1]["signal_path"] = "p000.txt"
+
+
+def _reads_an_output(data: Path, subjects) -> None:
+    # p001 reads the file that p000's conditioned CSV would overwrite
+    shutil.copy(data / "p001.csv", data / "p000.conditioned.csv")
+    subjects[1]["signal_path"] = "p000.conditioned.csv"
+
+
+@pytest.mark.parametrize(
+    "edit, other",
+    [(_suffix_twin, "subject 'p000' writes"), (_reads_an_output, "subject 'p001' reads")],
+    ids=["two-outputs", "output-is-an-input"],
+)
+def test_preprocess_refuses_colliding_conditioned_csvs(edit, other, synth_dir, config_file, monkeypatch, capsys):
+    manifest = _edit_manifest(synth_dir, lambda subjects: edit(synth_dir, subjects))
+    before = {p.name: p.read_bytes() for p in synth_dir.iterdir()}
+    reads = _count_calls(monkeypatch, ingest, "read_signal_csv")
+    capsys.readouterr()
+    assert main(["preprocess", "--manifest", str(manifest), "--config", str(config_file)]) == 3
+    writer = "p001" if edit is _suffix_twin else "p000"
+    err = capsys.readouterr().err
+    assert err == f"error[3]: {manifest}: subject {writer!r} writes {synth_dir / 'p000.conditioned.csv'}, which {other}\n"
+    assert not reads
+    assert {p.name: p.read_bytes() for p in synth_dir.iterdir()} == before
+
+
+_EMPTY_MANIFEST_ERRORS = {
+    "features": "error[3]: {manifest}: no subject holds a whole window; no features to write\n",
+    "train": "error[3]: need at least 2 examples to fit\n",
+    "evaluate": "error[3]: leave-one-out evaluation needs at least 2 subjects\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EMPTY_MANIFEST_ERRORS))
+def test_a_manifest_without_subjects_is_refused(command, synth_dir, config_file, model_payload, tmp_path, capsys):
+    manifest = _edit_manifest(synth_dir, list.clear)
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert _run(command, manifest, config_file, out, model_payload) == 3
+    assert capsys.readouterr().err == _EMPTY_MANIFEST_ERRORS[command].format(manifest=manifest)
+    assert not list(out.iterdir())
+
+
 def test_features_dump_scalogram_reads_and_transforms_each_once(synth_dir, config_file, tmp_path, monkeypatch):
     manifest = synth_dir / "manifest.json"
     flags = ["--manifest", str(manifest), "--config", str(config_file)]

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sproutcast.features as features
+from sproutcast import wavelet
 from sproutcast.config import PipelineConfig
 from sproutcast.features import (
     FEATURE_NAMES,
@@ -15,7 +18,8 @@ from sproutcast.features import (
     layout_version,
 )
 from sproutcast.ingest import Dataset, IngestError
-from sproutcast.wavelet import TransformedWindow, plan_scales
+from sproutcast.preprocess import SignalWindow
+from sproutcast.wavelet import TransformedWindow, cwt, plan_scales
 
 from conftest import make_recording
 
@@ -212,6 +216,29 @@ def test_blocks_are_independent(rng):
     mask = np.ones(len(a), bool)
     mask[block] = False
     assert np.array_equal(a[mask], b[mask])
+
+
+def test_one_window_holds_the_kernel_spectra_one_transform_and_a_few_rows(rng):
+    # a 1 Hz day window: its working set is the plan's kernel spectra, one |CWT|
+    # and a few W-length rows (the spectrum, the work row, the reduction of one
+    # row), not a (K, W) work block or a chunk of several rows' temporaries
+    k, w = 8, 86400
+    plan = plan_scales(1.0, w, k=k)
+    windows = [SignalWindow("s", i, 0, rng.normal(size=w)) for i in (1, 2)]
+    wavelet._plan_buffers.cache_clear()
+    tracemalloc.start()
+    try:
+        for win in windows:
+            tw = cwt(win, plan)
+            build_feature_vector(tw, plan)
+            del tw
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        wavelet._plan_buffers.cache_clear()
+    spectra, transform = k * w * 16, k * w * 8
+    rows = 2 * w * 16 + 6 * w * 8  # two complex rows and six float rows: 6.6 MiB
+    assert peak < spectra + transform + rows, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_scale_count_mismatch():

@@ -154,10 +154,14 @@ def test_cwt_results_share_no_memory(rng):
     plan = plan_scales(1.0, 2048, k=6)
     first = cwt(window(rng.normal(size=2048)), plan).coefficients
     kept = first.copy()
-    second = cwt(window(rng.normal(size=2048)), plan).coefficients
-    kernel_ffts, work = wavelet._plan_buffers(plan.window_len, plan.omega0, tuple(plan.scales))
-    assert np.array_equal(np.abs(work), second)  # the second call ran in the cached buffer
-    for buffer in (second, work, kernel_ffts):
+    x = rng.normal(size=2048)
+    second = cwt(window(x), plan).coefficients
+    kernel_ffts, spectrum, work = wavelet._plan_buffers(plan.window_len, plan.omega0, tuple(plan.scales))
+    # the second call ran in the cached rows: the window's spectrum, and the last scale in the work row
+    assert np.array_equal(spectrum, np.fft.fft(x - x.mean()))
+    assert np.array_equal(np.abs(work), second[-1])
+    for buffer in (second, spectrum, work, kernel_ffts):
         assert not np.shares_memory(first, buffer)
-    assert not np.shares_memory(second, work)
+    for buffer in (spectrum, work, kernel_ffts):
+        assert not np.shares_memory(second, buffer)
     assert np.array_equal(first, kept)
