@@ -19,8 +19,8 @@ import numpy as np
 
 from sproutcast.config import PipelineConfig
 from sproutcast.estimate import SubjectEstimate, WindowEstimate, aggregate, fallback_window, rolling_mean, window_estimates
-from sproutcast.features import ExampleSet, build_dataset
-from sproutcast.ingest import NUMBER, Dataset, check_fields, is_json_type, write_json
+from sproutcast.features import ExampleSet
+from sproutcast.ingest import NUMBER, check_fields, is_json_type, write_json
 from sproutcast.regress import fit_config
 
 
@@ -99,16 +99,14 @@ def _run_fold(data: ExampleSet, cfg: PipelineConfig, fold: int) -> FoldResult:
     )
 
 
-def loo_cv(data: Dataset | ExampleSet, cfg: PipelineConfig | None = None) -> list[FoldResult]:
-    """Run one leave-one-out fold per subject; results ordered by subject id.
+def loo_cv(data: ExampleSet, cfg: PipelineConfig | None = None) -> list[FoldResult]:
+    """Run one leave-one-out fold per subject of ``data`` (see
+    ``features.build_dataset``); results ordered by subject id.
 
-    Accepts a raw Dataset (features are built here) or a prebuilt
-    ExampleSet.  Folds are independent; cfg.jobs > 1 runs them in worker
-    processes without changing any output.
+    Folds are independent; cfg.jobs > 1 runs them in worker processes
+    without changing any output.
     """
     cfg = cfg or PipelineConfig()
-    if isinstance(data, Dataset):
-        data = build_dataset(data, cfg)
     if len(data.true_day) < 2:
         raise ValueError("leave-one-out evaluation needs at least 2 subjects")
     for sid, m in data.m_per_subject.items():

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from sproutcast.config import PipelineConfig
-from sproutcast.ingest import Dataset, IngestError, Recording
+from sproutcast.ingest import IngestError, Recording
 from sproutcast.preprocess import SignalWindow, condition, segment
 from sproutcast.wavelet import ScalePlan, TransformedWindow, cwt, plan_scales
 
@@ -304,7 +304,7 @@ def extract_subject_features(
 
 
 def build_dataset(
-    recordings: Dataset | Iterable[Recording],
+    recordings: Iterable[Recording],
     cfg: PipelineConfig | None = None,
     on_transform: Callable[[SignalWindow, TransformedWindow], None] | None = None,
 ) -> ExampleSet:
@@ -313,13 +313,12 @@ def build_dataset(
     Each retained window becomes one row with target D_j - d_i in whole
     days.  Row order is deterministic: subjects sorted by id, windows by
     index, whatever order the recordings come in.  Accepts any iterable of
-    recordings, so a corpus can be streamed one subject at a time;
-    ``on_transform`` is passed to ``extract_subject_features``.
+    recordings, so a corpus can be streamed one subject at a time, and
+    refuses, as it reaches it, a recording without a sprouting_day, a
+    repeated id or a window after sprouting; ``on_transform`` is passed to
+    ``extract_subject_features``.
     """
     cfg = cfg or PipelineConfig()
-    if isinstance(recordings, Dataset):
-        recordings.require_labels()
-        recordings = recordings.recordings
     per_subject: dict[str, list[FeatureVector]] = {}
     true_day: dict[str, int] = {}
     for rec in recordings:

@@ -1,10 +1,12 @@
 """Data model and disk I/O for multi-subject voltage recordings.
 
-A dataset lives on disk as one JSON manifest plus one signal CSV per
-subject.  The CSV has a mandatory header ``elapsed_seconds,voltage_volts``;
-all calendar fields are ISO-8601 dates and all internal day arithmetic is
-integer offsets from each recording's start day.  Beside each CSV a binary
-sidecar caches its voltages, so a CSV is parsed at most once (see
+A corpus lives on disk as one JSON manifest plus one signal CSV per
+subject, and is read one subject at a time: ``load_manifest`` checks the
+manifest, then ``iter_recordings`` reads each CSV.  The CSV has a
+mandatory header ``elapsed_seconds,voltage_volts``; all calendar fields
+are ISO-8601 dates and all internal day arithmetic is integer offsets
+from each recording's start day.  Beside each CSV a binary sidecar
+caches its voltages, so a CSV is parsed at most once (see
 ``read_signal_csv``).
 
 Every JSON file the program reads (manifest, model, report) goes through
@@ -21,10 +23,10 @@ import os
 import reprlib
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -89,44 +91,12 @@ class Recording:
         return (self.sprouting_day - self.start_day).days
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An immutable collection of recordings with unique subject ids."""
-
-    recordings: list[Recording] = field(default_factory=list)
-    label: str = "unlabeled"
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for rec in self.recordings:
-            if rec.subject_id in seen:
-                raise IngestError(f"duplicate subject_id {rec.subject_id!r} in dataset {self.label!r}")
-            seen.add(rec.subject_id)
-
-    def __len__(self) -> int:
-        return len(self.recordings)
-
-    def subject_ids(self) -> list[str]:
-        return [rec.subject_id for rec in self.recordings]
-
-    def require_labels(self) -> None:
-        """Raise unless every recording carries a ground-truth sprouting day."""
-        _check_labelled((rec.subject_id, rec.sprouting_day) for rec in self.recordings)
-
-
 def _check_metadata(subject_id: str, sample_rate_hz: float, start_day: date, sprouting_day: date | None) -> None:
     """The checks of a Recording that need none of its samples."""
     if not (sample_rate_hz > 0 and math.isfinite(sample_rate_hz)):
         raise IngestError(f"subject {subject_id!r}: sample_rate_hz must be positive and finite")
     if sprouting_day is not None and sprouting_day < start_day:
         raise IngestError(f"subject {subject_id!r}: sprouting_day {sprouting_day} precedes start_day {start_day}")
-
-
-def _check_labelled(subjects: Iterable[tuple[str, date | None]]) -> None:
-    """Raise unless every (subject id, sprouting day) pair has its day."""
-    missing = [sid for sid, sprouting_day in subjects if sprouting_day is None]
-    if missing:
-        raise IngestError(f"recordings without sprouting_day: {', '.join(sorted(missing))}")
 
 
 def _parse_date(value: str, context: str) -> date:
@@ -405,15 +375,17 @@ def load_manifest(manifest_path: str | Path, labelled: bool = False) -> Manifest
     """Read and check a manifest JSON, and no signal CSV.
 
     Signal paths are resolved relative to the manifest's directory.  Every
-    check the manifest alone can answer is made here, in this order: each
-    entry's fields, ids and dates; that every signal path is an existing
-    file; that each sample rate is positive and finite and no sprouting_day
-    precedes its start_day; and, if ``labelled``, that every subject has a
-    sprouting_day.  Each failure names the manifest or file at fault, and
-    the subject.
+    check the manifest alone can answer is made here, in this order: that
+    it lists at least one subject; each entry's fields, ids and dates; that
+    every signal path is an existing file; that each sample rate is
+    positive and finite and no sprouting_day precedes its start_day; and,
+    if ``labelled``, that every subject has a sprouting_day.  Each failure
+    names the manifest or file at fault, and the subject.
     """
     manifest_path = Path(manifest_path)
     manifest = check_fields(read_json(manifest_path), {"subjects": list}, str(manifest_path), {"label": str})
+    if not manifest["subjects"]:
+        raise IngestError(f"{manifest_path}: no subjects")
     base = manifest_path.parent
     recording_fields, seen = [], set()
     for i, entry in enumerate(manifest["subjects"]):
@@ -442,8 +414,9 @@ def load_manifest(manifest_path: str | Path, labelled: bool = False) -> Manifest
             _check_metadata(f["subject_id"], f["sample_rate_hz"], f["start_day"], f["sprouting_day"])
     except IngestError as exc:
         raise IngestError(f"{manifest_path}: {exc}") from exc
-    if labelled:
-        _check_labelled((f["subject_id"], f["sprouting_day"]) for f in recording_fields)
+    missing = [f["subject_id"] for f in recording_fields if f["sprouting_day"] is None]
+    if labelled and missing:
+        raise IngestError(f"recordings without sprouting_day: {', '.join(sorted(missing))}")
     label = manifest.get("label", manifest_path.stem)
     return Manifest(manifest_path, label, manifest["subjects"], recording_fields, signal_paths)
 
@@ -465,13 +438,6 @@ def iter_recordings(manifest: Manifest) -> Iterator[Recording]:
         yield _read_recording(manifest, index)
 
 
-def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load a manifest and every signal CSV it names into a Dataset
-    (``load_manifest``, then ``iter_recordings``)."""
-    manifest = load_manifest(manifest_path)
-    return Dataset(list(iter_recordings(manifest)), manifest.label)
-
-
 def write_recording(rec: Recording, out_dir: Path) -> dict:
     """Write one recording's signal CSV into ``out_dir``; returns its manifest entry."""
     signal_name = f"{rec.subject_id}.csv"
@@ -489,17 +455,6 @@ def write_recording(rec: Recording, out_dir: Path) -> dict:
     return entry
 
 
-def write_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "manifest.json") -> Path:
-    """Write a dataset as manifest + per-subject CSVs; returns manifest path.
-
-    Loading the result back yields a field-by-field identical Dataset.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    subjects = [write_recording(rec, out_dir) for rec in dataset.recordings]
-    return write_json(out_dir / manifest_name, {"label": dataset.label, "subjects": subjects})
-
-
 def day_offset_date(rec: Recording, day_offset: float) -> date:
     """Convert a (possibly fractional) day offset into a calendar date."""
     return rec.start_day + timedelta(days=round(day_offset))
@@ -510,7 +465,6 @@ __all__ = [
     "IngestError",
     "NUMBER",
     "Recording",
-    "Dataset",
     "Manifest",
     "read_text",
     "read_json",
@@ -519,8 +473,6 @@ __all__ = [
     "write_signal_csv",
     "load_manifest",
     "iter_recordings",
-    "load_dataset",
     "write_recording",
-    "write_dataset",
     "day_offset_date",
 ]

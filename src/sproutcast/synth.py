@@ -17,7 +17,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from sproutcast.config import ConfigError, check_bounds, window_width
-from sproutcast.ingest import Dataset, Recording
+from sproutcast.ingest import Recording
 from sproutcast.preprocess import SECONDS_PER_DAY
 
 _VARIETIES = ("Sorentina", "SHC1010", "Agria")
@@ -132,12 +132,4 @@ def iter_recordings(cfg: SynthConfig):
         yield generate_recording(cfg, index)
 
 
-def generate(cfg: SynthConfig) -> Dataset:
-    """Materialize the whole synthetic dataset."""
-    return Dataset(
-        recordings=list(iter_recordings(cfg)),
-        label=cfg.label,
-    )
-
-
-__all__ = ["SynthConfig", "generate_recording", "iter_recordings", "generate"]
+__all__ = ["SynthConfig", "generate_recording", "iter_recordings"]

@@ -22,6 +22,10 @@ from sproutcast.config import PipelineConfig
 from sproutcast.preprocess import SignalWindow
 
 _DIRECT_MAX_LEN = 4096
+# scales are multiplied and inverted at most 512 KiB of complex rows at a time,
+# counted in bytes like features._CHUNK_BYTES: the 8 scales of a 1080-sample
+# window go in one call, a 1 Hz day (86400 samples, 1.3 MiB a row) one per call
+_BLOCK_BYTES = 512 << 10
 
 
 @dataclass(frozen=True)
@@ -107,16 +111,18 @@ def _kernel_ffts(window_len: int, omega0: float, scales: tuple[float, ...]) -> n
 
 @lru_cache(maxsize=16)
 def _plan_buffers(window_len: int, omega0: float, scales: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A plan's (K, W) kernel spectra, and two (W,) complex buffers for ``cwt``.
+    """A plan's (K, W) kernel spectra, and two complex buffers for ``cwt``.
 
-    The first buffer holds the window's spectrum and the second the row that
-    one scale is multiplied and inverted in, so a transform's working set
-    beyond the spectra is two W-length rows, not a (K, W) block.
+    The first, a (W,) row, holds the window's spectrum; the second, a (B, W)
+    block of at most ``_BLOCK_BYTES``, or one row, is where B scales at a
+    time are multiplied and inverted, so a long window's working set beyond
+    the spectra is two W-length rows, not a (K, W) block.
     """
+    rows = min(len(scales), max(1, _BLOCK_BYTES // (16 * window_len)))
     return (
         _kernel_ffts(window_len, omega0, scales),
         np.empty(window_len, dtype=np.complex128),
-        np.empty(window_len, dtype=np.complex128),
+        np.empty((rows, window_len), dtype=np.complex128),
     )
 
 
@@ -133,20 +139,22 @@ def cwt(window: SignalWindow, plan: ScalePlan) -> TransformedWindow:
     """FFT-accelerated circular CWT of one window; returns (K, W) magnitudes.
 
     Each scale is convolved on its own (Torrence & Compo 1998): the window's
-    spectrum times the scale's kernel spectrum, inverted, in the plan's
-    W-length work row, and its magnitude written into row k of the result.
-    The magnitudes are a new array on every call, which no later call
-    overwrites.
+    spectrum times the scale's kernel spectrum, inverted, and its magnitude
+    written into row k of the result, a block of scales at a time in the
+    plan's work block.  The magnitudes are a new array on every call, which
+    no later call overwrites.
     """
     x = _check_window(window, plan)
     x = x - x.mean()
     kernel_ffts, spectrum, work = _plan_buffers(plan.window_len, plan.omega0, tuple(plan.scales))
     np.fft.fft(x, out=spectrum)
     coeffs = np.empty((plan.k, plan.window_len))
-    for kernel_fft, row in zip(kernel_ffts, coeffs):
-        np.multiply(spectrum, kernel_fft, out=work)
-        np.fft.ifft(work, out=work)
-        np.abs(work, out=row)
+    for start in range(0, plan.k, len(work)):
+        block = work[: plan.k - start]
+        stop = start + len(block)
+        np.multiply(spectrum, kernel_ffts[start:stop], out=block)
+        np.fft.ifft(block, axis=1, out=block)
+        np.abs(block, out=coeffs[start:stop])
     return TransformedWindow(window_index=window.window_index, coefficients=coeffs)
 
 

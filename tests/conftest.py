@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sproutcast.features import ExampleSet, FeatureVector
-from sproutcast.ingest import Recording
+from sproutcast.ingest import Recording, iter_recordings, load_manifest, write_json, write_recording
 from sproutcast.regress import RegressorSpec, TrainedModel
 
 from datetime import date, timedelta
@@ -25,6 +27,19 @@ def make_recording(subject_id="p00", days=3, rate=1.0, samples=None, sprout_day=
         samples=samples,
         sprouting_day=sprout,
     )
+
+
+def write_corpus(recordings, out_dir, label):
+    """Write a corpus: one signal CSV per subject, then ``manifest.json``; returns its path."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    subjects = [write_recording(rec, out_dir) for rec in recordings]
+    return write_json(out_dir / "manifest.json", {"label": label, "subjects": subjects})
+
+
+def read_corpus(manifest_path):
+    """Every recording of a manifest, in manifest order."""
+    return list(iter_recordings(load_manifest(manifest_path)))
 
 
 def make_signal(samples, rate=256.0, subject_id="s"):

@@ -177,15 +177,13 @@ def test_criterion_07_loo_leakage_and_two_level_mae():
     rate = 1 / 864
     rng = np.random.default_rng(3)
     from conftest import make_recording
-    from sproutcast.ingest import Dataset
 
     recs = []
     for i, days in enumerate([10, 14, 18, 11]):
         samples = rng.normal(size=int(days * 86400 * rate)) * (1 + np.linspace(0, 1, int(days * 86400 * rate)))
         recs.append(make_recording(f"s{i}", days=days, rate=rate, samples=samples, sprout_day=days))
-    ds = Dataset(recs, "leak")
     cfg = PipelineConfig(target_hz=rate, scales=4, n_trees=10, max_depth=2, learning_rate=0.3, seed=0)
-    example_set = build_dataset(ds, cfg)
+    example_set = build_dataset(recs, cfg)
     folds = loo_cv(example_set, cfg)
     _, _, groups = example_set.matrix()
     ids = example_set.subject_ids()

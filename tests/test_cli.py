@@ -14,12 +14,12 @@ from sproutcast import cli, features, ingest
 from sproutcast.cli import build_parser, main
 from sproutcast.config import ConfigError, PipelineConfig, load_config_file, resolve_config
 from sproutcast.features import build_dataset
-from sproutcast.ingest import Dataset, load_dataset, write_dataset, write_signal_csv
+from sproutcast.ingest import write_signal_csv
 from sproutcast.preprocess import condition, segment
 from sproutcast.synth import SynthConfig
 from sproutcast.wavelet import cwt, plan_scales
 
-from conftest import make_recording
+from conftest import make_recording, read_corpus, write_corpus
 
 RATE = 1 / 96  # 900 samples per day: fast but still a real multi-stage pipeline
 
@@ -333,12 +333,9 @@ def test_predict_rejects_layout_mismatch(synth_dir, config_file, tmp_path, capsy
 
 def test_preprocess_writes_conditioned_files(tmp_path):
     # 256 Hz input exercises the full notch/low-pass/decimate chain
-    from sproutcast.ingest import Dataset, write_dataset
-    from conftest import make_recording
-
     rng = np.random.default_rng(0)
     rec = make_recording("c0", rate=256.0, samples=rng.normal(size=256 * 120), sprout_day=1)
-    manifest = write_dataset(Dataset([rec], "chain"), tmp_path / "raw")
+    manifest = write_corpus([rec], tmp_path / "raw", "chain")
     code = main(["preprocess", "--manifest", str(manifest), "--target-hz", "1"])
     assert code == 0
     conditioned = manifest.with_suffix(".conditioned.json")
@@ -370,7 +367,7 @@ def test_features_table(synth_dir, config_file, tmp_path):
     # every cell reads back as a float, bit for bit the dataset's feature matrix
     rows = [line.split(",") for line in lines[1:]]
     x = np.array([[float(c) for c in r[4:]] for r in rows])
-    es = build_dataset(load_dataset(synth_dir / "manifest.json"), resolve_config(config_file))
+    es = build_dataset(read_corpus(synth_dir / "manifest.json"), resolve_config(config_file))
     assert x.tobytes() == es.x.tobytes()
     assert np.array([float(r[3]) for r in rows]).tobytes() == es.y.tobytes()
     assert [(r[0], int(r[1]), int(r[2])) for r in rows] == [
@@ -823,9 +820,6 @@ def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsy
 
 @pytest.mark.parametrize("case", ["ensemble-without-uq-th", "subject-shorter-than-a-window"])
 def test_predict_refuses_what_it_cannot_estimate(case, model_payload, tmp_path, capsys):
-    from sproutcast.ingest import Dataset, write_dataset
-    from conftest import make_recording
-
     flags, payload = model_payload
     path = tmp_path / "model.json"
     manifest = tmp_path / "missing.json"
@@ -833,7 +827,7 @@ def test_predict_refuses_what_it_cannot_estimate(case, model_payload, tmp_path, 
         header = {key: payload[key] for key in ("format_version", "feature_layout", "n_features", "spec")}
         payload = {**header, "kind": "ensemble", "n_members": 2, "members": [payload, payload]}
     else:  # half a day at the model's rate
-        manifest = write_dataset(Dataset([make_recording("short", days=0.5, rate=RATE)], "short"), tmp_path / "data")
+        manifest = write_corpus([make_recording("short", days=0.5, rate=RATE)], tmp_path / "data", "short")
     path.write_text(json.dumps(payload))
     code = main(["predict", "--model", str(path), *flags, "--manifest", str(manifest)])
     assert code == 3
@@ -950,10 +944,10 @@ _COMMANDS = {
 }
 
 
-def _run(command, manifest, config_file, out, model_payload) -> int:
+def _run(command, manifest, config_file, out, model_payload, commands=_COMMANDS) -> int:
     if command == "predict":
         (out / "model.json").write_text(json.dumps(model_payload[1]))
-    argv = _COMMANDS[command].format(out=out).split()
+    argv = commands[command].format(out=out).split()
     return main([*argv[:1], "--manifest", str(manifest), "--config", str(config_file), *argv[1:]])
 
 
@@ -1054,22 +1048,30 @@ def test_preprocess_refuses_colliding_conditioned_csvs(edit, other, synth_dir, c
     assert {p.name: p.read_bytes() for p in synth_dir.iterdir()} == before
 
 
-_EMPTY_MANIFEST_ERRORS = {
-    "features": "error[3]: {manifest}: no subject holds a whole window; no features to write\n",
-    "train": "error[3]: need at least 2 examples to fit\n",
-    "evaluate": "error[3]: leave-one-out evaluation needs at least 2 subjects\n",
-}
+# every command that reads a corpus, each output in {out} but preprocess's, which go beside the manifest
+_CORPUS_COMMANDS = {**_COMMANDS, "predict": _COMMANDS["predict"] + " --out {out}/p.json", "preprocess": "preprocess"}
 
 
-@pytest.mark.parametrize("command", sorted(_EMPTY_MANIFEST_ERRORS))
+@pytest.mark.parametrize("command", sorted(_CORPUS_COMMANDS))
 def test_a_manifest_without_subjects_is_refused(command, synth_dir, config_file, model_payload, tmp_path, capsys):
     manifest = _edit_manifest(synth_dir, list.clear)
     out = tmp_path / "out"
     out.mkdir()
+    before = sorted(synth_dir.iterdir())
     capsys.readouterr()
-    assert _run(command, manifest, config_file, out, model_payload) == 3
-    assert capsys.readouterr().err == _EMPTY_MANIFEST_ERRORS[command].format(manifest=manifest)
-    assert not list(out.iterdir())
+    assert _run(command, manifest, config_file, out, model_payload, _CORPUS_COMMANDS) == 3
+    assert capsys.readouterr().err == f"error[3]: {manifest}: no subjects\n"
+    assert [p.name for p in out.iterdir()] == (["model.json"] if command == "predict" else [])
+    assert sorted(synth_dir.iterdir()) == before
+
+
+def test_features_refuses_a_corpus_without_a_whole_window(config_file, tmp_path, capsys):
+    manifest = write_corpus([make_recording("short", days=0.5, rate=RATE)], tmp_path / "data", "short")
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    assert main(["features", "--manifest", str(manifest), "--config", str(config_file), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error[3]: {manifest}: no subject holds a whole window; no features to write\n"
+    assert not out.exists()
 
 
 def test_features_dump_scalogram_reads_and_transforms_each_once(synth_dir, config_file, tmp_path, monkeypatch):
@@ -1084,7 +1086,7 @@ def test_features_dump_scalogram_reads_and_transforms_each_once(synth_dir, confi
     monkeypatch.undo()
     # every scalogram is the text of its window's |CWT|, as np.savetxt writes it
     cfg = resolve_config(config_file, {})
-    windows = [w for rec in load_dataset(manifest).recordings for w in segment(condition(rec, cfg), cfg.window_seconds)]
+    windows = [w for rec in read_corpus(manifest) for w in segment(condition(rec, cfg), cfg.window_seconds)]
     assert n_transforms == len(windows)
     plan = plan_scales(cfg.target_hz, len(windows[0].samples), cfg.scales, cfg.omega0)
     expected = tmp_path / "expected"
@@ -1114,7 +1116,7 @@ def _peak_rss_mib(argv: list[str], log: Path) -> float:
 
 def test_peak_memory_does_not_grow_with_the_subject_count(tmp_path):
     days = 3  # at 1 Hz: 259200 samples, about 2 MiB, per subject
-    manifest = write_dataset(Dataset([make_recording(f"p{i}", days=days) for i in range(6)], "memory"), tmp_path)
+    manifest = write_corpus([make_recording(f"p{i}", days=days) for i in range(6)], tmp_path, "memory")
     entries = json.loads(manifest.read_text())["subjects"]
     peaks = {}
     for n in (2, 6):

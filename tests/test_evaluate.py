@@ -16,7 +16,7 @@ from sproutcast.evaluate import (
     write_curves,
     write_report,
 )
-from sproutcast.ingest import Dataset
+from sproutcast.features import build_dataset
 
 from conftest import make_recording
 
@@ -25,6 +25,7 @@ CFG = PipelineConfig(target_hz=RATE, scales=4, n_trees=15, max_depth=2, learning
 
 
 def tiny_dataset(n=3, days=12, seed=0):
+    """The recordings of a small labelled corpus, subjects p0, p1, ..."""
     rng = np.random.default_rng(seed)
     recs = []
     for i in range(n):
@@ -33,7 +34,7 @@ def tiny_dataset(n=3, days=12, seed=0):
         # plant a trivially learnable amplitude ramp
         ramp = np.linspace(0, 1, len(samples))
         recs.append(make_recording(f"p{i}", days=d, rate=RATE, samples=samples * (1 + ramp), sprout_day=d))
-    return Dataset(recs, "tiny")
+    return recs
 
 
 def oracle_fold(subject, d_true, retained=None):
@@ -82,7 +83,7 @@ def manual_fold(subject, d_true, errors):
 
 def test_loo_fold_protocol():
     ds = tiny_dataset(3)
-    folds = loo_cv(ds, CFG)
+    folds = loo_cv(build_dataset(ds, CFG), CFG)
     assert len(folds) == 3
     assert [f.held_out_subject for f in folds] == ["p0", "p1", "p2"]
     for fold in folds:
@@ -93,24 +94,24 @@ def test_loo_fold_protocol():
 def test_loo_requires_two_subjects():
     ds = tiny_dataset(1)
     with pytest.raises(ValueError, match="at least 2"):
-        loo_cv(ds, CFG)
+        loo_cv(build_dataset(ds, CFG), CFG)
 
 
 def test_loo_deterministic_report_bytes(tmp_path):
     ds = tiny_dataset(3)
     paths = []
     for name in ("a.json", "b.json"):
-        folds = loo_cv(ds, CFG)
-        report = compute_metrics(folds, CFG, label=ds.label)
+        folds = loo_cv(build_dataset(ds, CFG), CFG)
+        report = compute_metrics(folds, CFG, label="tiny")
         paths.append(write_report(report, tmp_path / name))
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_loo_parallel_folds_match_serial():
     ds = tiny_dataset(3)
-    serial = compute_metrics(loo_cv(ds, CFG), CFG)
+    serial = compute_metrics(loo_cv(build_dataset(ds, CFG), CFG), CFG)
     parallel_cfg = PipelineConfig(**{**CFG.__dict__, "jobs": 2})
-    parallel = compute_metrics(loo_cv(ds, parallel_cfg), parallel_cfg)
+    parallel = compute_metrics(loo_cv(build_dataset(ds, parallel_cfg), parallel_cfg), parallel_cfg)
     assert parallel.mae == serial.mae
     assert parallel.esd == serial.esd
     assert parallel.esd_percentiles == serial.esd_percentiles
@@ -241,8 +242,8 @@ def test_ensemble_strategy_smoke():
         uq_th=50.0,
         seed=1,
     )
-    folds = loo_cv(ds, cfg)
-    report = compute_metrics(folds, cfg, label=ds.label)
+    folds = loo_cv(build_dataset(ds, cfg), cfg)
+    report = compute_metrics(folds, cfg, label="tiny")
     assert report.strategy == "ensemble"
     for fold in folds:
         assert all(e.ci_halfwidth is not None for e in fold.window_estimates)
@@ -262,7 +263,7 @@ def test_fallback_fold_scores_the_tightest_window():
         uq_th=1e-9,
         seed=1,
     )
-    for fold in loo_cv(ds, cfg):
+    for fold in loo_cv(build_dataset(ds, cfg), cfg):
         assert fold.subject_estimate.fallback_used
         observable = [
             (e, y) for e, (y, _) in zip(fold.window_estimates, fold.per_window) if e.day_offset < fold.true_day

@@ -17,7 +17,7 @@ from sproutcast.features import (
     extract_scale_features,
     layout_version,
 )
-from sproutcast.ingest import Dataset, IngestError
+from sproutcast.ingest import IngestError
 from sproutcast.preprocess import SignalWindow
 from sproutcast.wavelet import TransformedWindow, cwt, plan_scales
 
@@ -284,7 +284,7 @@ def _tiny_cfg(rate):
 def test_build_dataset_targets_count_down():
     rate = 1 / 864  # 100 samples per day keeps the test fast
     rec = make_recording("p0", days=30, rate=rate, sprout_day=30)
-    es = build_dataset(Dataset([rec], "t"), _tiny_cfg(rate))
+    es = build_dataset([rec], _tiny_cfg(rate))
     assert es.x.shape == (30, 4 * 14)
     assert es.y.tolist() == list(map(float, range(30, 0, -1)))
     assert es.m_per_subject == {"p0": 30}
@@ -294,7 +294,7 @@ def test_build_dataset_targets_count_down():
 def test_build_dataset_short_subject_contributes_nothing():
     rate = 1 / 864
     rec = make_recording("tiny", days=1, rate=rate, samples=np.ones(40), sprout_day=2)
-    es = build_dataset(Dataset([rec], "t"), _tiny_cfg(rate))
+    es = build_dataset([rec], _tiny_cfg(rate))
     assert es.x.shape[0] == len(es.y) == len(es.features) == 0
     assert es.m_per_subject == {"tiny": 0}
 
@@ -312,13 +312,13 @@ def test_build_dataset_requires_labels():
         sprouting_day=None,
     )
     with pytest.raises(IngestError, match="sprouting_day"):
-        build_dataset(Dataset([unlabelled], "t"), _tiny_cfg(rate))
+        build_dataset([unlabelled], _tiny_cfg(rate))
 
 
 def test_time_domain_mode_gives_14_features():
     rate = 1 / 864
     rec = make_recording("p0", days=5, rate=rate, sprout_day=5)
     cfg = PipelineConfig(target_hz=rate, scales=4, time_domain=True)
-    es = build_dataset(Dataset([rec], "t"), cfg)
+    es = build_dataset([rec], cfg)
     assert es.layout == "time-f14-v1"
     assert es.x.shape == (5, 14)

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from sproutcast.cli import main
 from sproutcast.config import PipelineConfig
 from sproutcast.evaluate import compute_metrics, loo_cv, write_report
-from sproutcast.ingest import SIDECAR_SUFFIX, Dataset, load_dataset, read_signal_csv, write_dataset
+from sproutcast.features import build_dataset
+from sproutcast.ingest import SIDECAR_SUFFIX, load_manifest, read_signal_csv
 from sproutcast.regress import (
     Ensemble,
     RegressorSpec,
@@ -29,9 +30,9 @@ from sproutcast.regress import (
     predict_matrix,
     save_model,
 )
-from sproutcast.synth import SynthConfig, generate
+from sproutcast.synth import SynthConfig, iter_recordings
 
-from conftest import make_recording
+from conftest import make_recording, read_corpus, write_corpus
 
 RATE = 1 / 96
 FUZZ = settings(max_examples=300, deadline=2000)
@@ -99,7 +100,7 @@ def _rejects_cleanly(load, *args):
 def corpus(tmp_path_factory):
     """A two-subject dataset on disk; returns its manifest path."""
     recs = [make_recording(sid, days=1, rate=1 / 864, samples=np.arange(100.0) + i) for i, sid in enumerate("ab")]
-    return write_dataset(Dataset(recs, "fuzz"), tmp_path_factory.mktemp("corpus"))
+    return write_corpus(recs, tmp_path_factory.mktemp("corpus"), "fuzz")
 
 
 @pytest.mark.filterwarnings("error")  # the CLI's one-line error allows no warning beside it
@@ -108,12 +109,13 @@ def corpus(tmp_path_factory):
 def test_fuzzed_manifest(corpus, data):
     path = corpus.with_name("fuzzed.json")
     path.write_bytes(data.draw(corrupted_json(json.loads(corpus.read_text()))))
-    ds = _rejects_cleanly(load_dataset, path)
-    if ds is not None:
+    loaded = _rejects_cleanly(lambda p: (load_manifest(p).label, read_corpus(p)), path)
+    if loaded is not None:
         # what loads is what the manifest says, with the manifest's types
+        label, recordings = loaded
         manifest = json.loads(path.read_text())
-        assert ds.label == manifest.get("label", path.stem) and isinstance(ds.label, str)
-        for rec, entry in zip(ds.recordings, manifest["subjects"], strict=True):
+        assert label == manifest.get("label", path.stem) and isinstance(label, str)
+        for rec, entry in zip(recordings, manifest["subjects"], strict=True):
             assert (rec.subject_id, rec.variety) == (entry["id"], entry["variety"])
             assert rec.storage_temp_c == entry["storage_temp_c"] and type(rec.storage_temp_c) is int
             assert rec.sample_rate_hz == entry["sample_rate_hz"]
@@ -177,10 +179,10 @@ def test_fuzzed_model_file(models, data):
 def report(tmp_path_factory):
     """A report written by a real leave-one-out run; returns its directory and JSON."""
     base = tmp_path_factory.mktemp("report")
-    dataset = generate(SynthConfig(n_subjects=3, days_min=12, days_max=13, sample_rate_hz=RATE,
-                                   signature_band_hz=(0.0008, 0.004), seed=5))
+    recordings = iter_recordings(SynthConfig(n_subjects=3, days_min=12, days_max=13, sample_rate_hz=RATE,
+                                             signature_band_hz=(0.0008, 0.004), seed=5))
     cfg = PipelineConfig(target_hz=RATE, scales=4, n_trees=4, max_depth=2, min_samples_leaf=2)
-    path = write_report(compute_metrics(loo_cv(dataset, cfg), cfg, label="fuzz"), base / "report.json")
+    path = write_report(compute_metrics(loo_cv(build_dataset(recordings, cfg), cfg), cfg, label="fuzz"), base / "report.json")
     return base, json.loads(path.read_text())
 
 

@@ -7,21 +7,19 @@ import numpy as np
 import pytest
 
 from sproutcast import ingest
+from sproutcast.features import build_dataset
 from sproutcast.ingest import (
     CSV_HEADER,
     SIDECAR_SUFFIX,
-    Dataset,
     IngestError,
     Recording,
     iter_recordings,
-    load_dataset,
     load_manifest,
     read_signal_csv,
-    write_dataset,
     write_signal_csv,
 )
 
-from conftest import make_recording
+from conftest import make_recording, read_corpus, write_corpus
 
 
 def write_manifest(tmp_path, subjects, label="ds"):
@@ -48,21 +46,22 @@ def subject_entry(tmp_path, sid, n=10, rate=1.0, sprouting="2023-10-04", voltage
 
 def test_load_three_subjects(tmp_path):
     subjects = [subject_entry(tmp_path, f"p{i}") for i in range(3)]
-    ds = load_dataset(write_manifest(tmp_path, subjects))
-    assert len(ds) == 3
-    assert ds.label == "ds"
-    assert ds.subject_ids() == ["p0", "p1", "p2"]
+    path = write_manifest(tmp_path, subjects)
+    recs = read_corpus(path)
+    assert len(recs) == 3
+    assert load_manifest(path).label == "ds"
+    assert [rec.subject_id for rec in recs] == ["p0", "p1", "p2"]
 
 
 def test_duplicate_subject_id_names_offender(tmp_path):
     subjects = [subject_entry(tmp_path, "p01"), subject_entry(tmp_path, "p01")]
     with pytest.raises(IngestError, match="p01"):
-        load_dataset(write_manifest(tmp_path, subjects))
+        read_corpus(write_manifest(tmp_path, subjects))
     # the duplicate is found before any CSV is read, so a missing one does not hide it
     subjects = [subject_entry(tmp_path, "p01"), subject_entry(tmp_path, "p02"), subject_entry(tmp_path, "p01")]
     subjects[1]["signal_path"] = "missing.csv"
     with pytest.raises(IngestError, match=r"manifest\.json subject 'p01': duplicate subject_id"):
-        load_dataset(write_manifest(tmp_path, subjects))
+        read_corpus(write_manifest(tmp_path, subjects))
 
 
 def _no_csv_read(monkeypatch):
@@ -111,7 +110,7 @@ def test_iter_recordings_reads_one_csv_per_step(tmp_path, monkeypatch):
     for i, rec in enumerate(iter_recordings(manifest)):
         assert read == [f"p{j}.csv" for j in range(i + 1)]
         assert (rec.subject_id, len(rec.samples)) == (f"p{i}", 10 + i)
-    assert load_dataset(manifest.path).subject_ids() == ["p0", "p1", "p2"]
+    assert [rec.subject_id for rec in read_corpus(manifest.path)] == ["p0", "p1", "p2"]
 
 
 def test_mixed_variety_composition_64_subjects(tmp_path):
@@ -122,19 +121,19 @@ def test_mixed_variety_composition_64_subjects(tmp_path):
         entry = subject_entry(tmp_path, f"p{i:02d}")
         entry["variety"] = variety
         subjects.append(entry)
-    ds = load_dataset(write_manifest(tmp_path, subjects, label="dataset1-8C"))
-    assert len(ds) == 64
-    counts = {v: sum(r.variety == v for r in ds.recordings) for v in set(varieties)}
+    recs = read_corpus(write_manifest(tmp_path, subjects, label="dataset1-8C"))
+    assert len(recs) == 64
+    counts = {v: sum(r.variety == v for r in recs) for v in set(varieties)}
     assert counts == {"Sorentina": 16, "SHC1010": 16, "Agria": 32}
 
 
 def test_missing_manifest_and_signal(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_dataset(tmp_path / "nope.json")
+        read_corpus(tmp_path / "nope.json")
     subjects = [subject_entry(tmp_path, "p0")]
     subjects[0]["signal_path"] = "gone.csv"
     with pytest.raises(FileNotFoundError, match="gone.csv"):
-        load_dataset(write_manifest(tmp_path, subjects))
+        read_corpus(write_manifest(tmp_path, subjects))
 
 
 def test_non_finite_sample_reports_row(tmp_path):
@@ -154,14 +153,14 @@ def test_header_required(tmp_path):
 def test_sprouting_before_start_rejected(tmp_path):
     subjects = [subject_entry(tmp_path, "p0", sprouting="2023-09-30")]
     with pytest.raises(IngestError, match="precedes"):
-        load_dataset(write_manifest(tmp_path, subjects))
+        read_corpus(write_manifest(tmp_path, subjects))
 
 
 def test_no_silent_sample_drop(tmp_path):
     n = 1237
     subjects = [subject_entry(tmp_path, "p0", n=n)]
-    ds = load_dataset(write_manifest(tmp_path, subjects))
-    assert len(ds.recordings[0].samples) == n
+    (rec,) = read_corpus(write_manifest(tmp_path, subjects))
+    assert len(rec.samples) == n
 
 
 def test_round_trip_identical(tmp_path):
@@ -170,13 +169,12 @@ def test_round_trip_identical(tmp_path):
         make_recording("a", days=1, rate=1 / 864, samples=rng.normal(size=100)),
         make_recording("b", days=2, rate=1 / 864, samples=rng.normal(size=250), sprout_day=5),
     ]
-    ds = Dataset(recordings=recs, label="rt")
-    m1 = write_dataset(ds, tmp_path / "one")
-    loaded = load_dataset(m1)
-    m2 = write_dataset(loaded, tmp_path / "two")
-    again = load_dataset(m2)
-    assert loaded.label == again.label == "rt"
-    for r1, r2 in zip(loaded.recordings, again.recordings):
+    m1 = write_corpus(recs, tmp_path / "one", "rt")
+    loaded = read_corpus(m1)
+    m2 = write_corpus(loaded, tmp_path / "two", load_manifest(m1).label)
+    again = read_corpus(m2)
+    assert load_manifest(m2).label == "rt"
+    for r1, r2 in zip(loaded, again, strict=True):
         assert r1.subject_id == r2.subject_id
         assert r1.variety == r2.variety
         assert r1.storage_temp_c == r2.storage_temp_c
@@ -185,7 +183,7 @@ def test_round_trip_identical(tmp_path):
         assert r1.sprouting_day == r2.sprouting_day
         assert np.array_equal(r1.samples, r2.samples)
     # and the write is faithful to the original samples, bit for bit
-    for orig, r1 in zip(recs, loaded.recordings):
+    for orig, r1 in zip(recs, loaded):
         assert np.array_equal(orig.samples, r1.samples)
 
 
@@ -207,9 +205,8 @@ def test_unlabelled_allowed_but_flagged():
         start_day=date(2023, 10, 1),
         samples=np.ones(10),
     )
-    ds = Dataset(recordings=[rec], label="infer")
     with pytest.raises(IngestError, match="sprouting_day"):
-        ds.require_labels()
+        build_dataset([rec])
 
 
 @pytest.mark.parametrize("rate", [1.0, 1 / 80, 1 / 96, 3.0, 256.0])

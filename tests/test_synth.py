@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sproutcast.synth import SynthConfig, generate, generate_recording, iter_recordings
+from sproutcast.synth import SynthConfig, generate_recording, iter_recordings
 
 
 FAST = dict(sample_rate_hz=1 / 90, signature_band_hz=(0.0008, 0.004))
@@ -9,9 +9,9 @@ FAST = dict(sample_rate_hz=1 / 90, signature_band_hz=(0.0008, 0.004))
 
 def test_same_seed_bit_identical():
     cfg = SynthConfig(n_subjects=4, days_min=20, days_max=30, seed=99, **FAST)
-    a = generate(cfg)
-    b = generate(cfg)
-    for r1, r2 in zip(a.recordings, b.recordings):
+    a = list(iter_recordings(cfg))
+    b = list(iter_recordings(cfg))
+    for r1, r2 in zip(a, b, strict=True):
         assert r1.subject_id == r2.subject_id
         assert r1.sprouting_day == r2.sprouting_day
         assert np.array_equal(r1.samples, r2.samples)
@@ -20,8 +20,9 @@ def test_same_seed_bit_identical():
 def test_streaming_matches_materialized():
     cfg = SynthConfig(n_subjects=3, days_min=15, days_max=25, seed=5, **FAST)
     streamed = list(iter_recordings(cfg))
-    whole = generate(cfg).recordings
-    for r1, r2 in zip(streamed, whole):
+    # each subject generated on its own, in reverse order
+    each = [generate_recording(cfg, i) for i in reversed(range(3))][::-1]
+    for r1, r2 in zip(streamed, each, strict=True):
         assert np.array_equal(r1.samples, r2.samples)
 
 
@@ -75,10 +76,10 @@ def test_zero_gain_plants_nothing():
 
 def test_subject_metadata_cycles():
     cfg = SynthConfig(n_subjects=5, days_min=10, days_max=12, seed=2, **FAST)
-    ds = generate(cfg)
-    assert ds.subject_ids() == [f"p{i:03d}" for i in range(5)]
-    assert {r.variety for r in ds.recordings} == {"Sorentina", "SHC1010", "Agria"}
-    assert all(r.storage_temp_c == 8 for r in ds.recordings)
+    recs = list(iter_recordings(cfg))
+    assert [r.subject_id for r in recs] == [f"p{i:03d}" for i in range(5)]
+    assert {r.variety for r in recs} == {"Sorentina", "SHC1010", "Agria"}
+    assert all(r.storage_temp_c == 8 for r in recs)
 
 
 def test_config_validation():

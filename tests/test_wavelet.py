@@ -157,9 +157,11 @@ def test_cwt_results_share_no_memory(rng):
     x = rng.normal(size=2048)
     second = cwt(window(x), plan).coefficients
     kernel_ffts, spectrum, work = wavelet._plan_buffers(plan.window_len, plan.omega0, tuple(plan.scales))
-    # the second call ran in the cached rows: the window's spectrum, and the last scale in the work row
+    # the second call ran in the cached buffers: the window's spectrum, and the
+    # work block, which at W = 2048 holds all six scales at once
     assert np.array_equal(spectrum, np.fft.fft(x - x.mean()))
-    assert np.array_equal(np.abs(work), second[-1])
+    assert work.shape == (6, 2048)
+    assert np.array_equal(np.abs(work), second)
     for buffer in (second, spectrum, work, kernel_ffts):
         assert not np.shares_memory(first, buffer)
     for buffer in (spectrum, work, kernel_ffts):
