@@ -3,10 +3,13 @@
 The regressor is self-contained: squared-error boosting over depth-limited
 CART trees with exact greedy split search (sorted unique values, midpoint
 thresholds, ties broken toward the lowest feature index).  Each fit sorts
-every feature column once, stably, so rows with equal values are ordered
-by row index; nodes reuse that order and never sort again.  Everything is
-deterministic given the RegressorSpec seed, and a trained model serializes
-to a single self-describing JSON file that reloads bit-identically.
+every feature column that is not constant once, stably, so rows with equal
+values are ordered by row index; nodes gather their children's rows in that
+order and never sort again.  Leaf values reach the training predictions as
+the leaves are made, and a model predicts by walking all of its trees at
+once.  Everything is deterministic given the RegressorSpec seed, and a
+trained model serializes to a single self-describing JSON file that
+reloads bit-identically.
 """
 
 from __future__ import annotations
@@ -56,19 +59,6 @@ class Tree:
     right: np.ndarray = _array(np.int32)
     value: np.ndarray = _array(np.float64)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(x), dtype=np.int32)
-        feat = self.feature[node]
-        while True:
-            active = np.flatnonzero(feat >= 0)
-            if active.size == 0:
-                break
-            cur = node[active]
-            go_left = x[active, feat[active]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-            feat = self.feature[node]
-        return self.value[node]
-
 
 # each tree array's name and dtype, in Tree's field order
 _TREE_ARRAYS = {f.name: f.metadata["dtype"] for f in fields(Tree)}
@@ -96,53 +86,66 @@ class Ensemble:
 
 # a node's rows in each column's sorted order, and the values there
 _Block = tuple[np.ndarray, np.ndarray]
+# a child's ascending rows, its block (None when it will not search) and its held-out rows
+_Child = tuple[np.ndarray, _Block | None, np.ndarray]
 
 
 class _SplitSearch:
     """Exact greedy split search over column blocks presorted once per fit.
 
-    Every feature column of the fit is argsorted once, stably, so a node's
-    rows appear in each column ordered by (value, row index).  A node keeps
-    that order, and the values in it, as a block of two flat (F, n_node)
-    arrays; its children take theirs by compressing the parent's block,
-    which keeps every column sorted without another sort.  Nodes write
-    their results into buffers allocated here, sized (F, n); block and row
+    Columns that are constant over the fit's rows are left out: every
+    candidate in one is blocked, so it could never win.  Every other column
+    is argsorted once, stably, so a node's rows appear in each column
+    ordered by (value, row index).  A node keeps that order, and the values
+    in it, as a block of two flat (F, n_node) arrays; its children gather
+    theirs from the parent's block at the positions of their rows, which
+    keeps every column sorted without another sort.  Nodes write their
+    results into buffers allocated here, sized (F, n); block and row
     buffers come one per depth level, so a node's block survives while its
-    left subtree is grown.
+    left subtree is grown.  Each leaf writes its value into ``fitted`` at
+    its in-sample rows and at the held-out rows routed down to it, so a
+    grown tree's training predictions need no walk.
     """
 
     def __init__(self, x: np.ndarray, spec: RegressorSpec):
-        n, n_features = x.shape
+        n = len(x)
         self.spec = spec
-        self.n_features = n_features
-        self.min_rows = max(2, 2 * spec.min_samples_leaf)
-        self.presort = np.argsort(x.T, axis=1, kind="stable")
-        self.sorted_values = np.take_along_axis(x.T, self.presort, axis=1)
+        self.x = x
+        # the original index of each searched column, ascending
+        self.columns = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
+        n_features = self.n_features = len(self.columns)
+        # with no column to search, every node is a leaf
+        self.min_rows = max(2, 2 * spec.min_samples_leaf) if n_features else n + 1
+        live = x.T[self.columns]
+        self.presort = np.argsort(live, axis=1, kind="stable")
+        self.sorted_values = np.take_along_axis(live, self.presort, axis=1)
         self.residual = np.empty(n)
+        self.fitted = np.empty(n)
         size = n_features * n
         # level d holds the blocks of the nodes at depth d, and the
         # ascending row lists of the nodes at depth d + 1
         self.orders = [np.empty(size, dtype=np.intp) for _ in range(spec.max_depth)]
         self.values = [np.empty(size) for _ in range(spec.max_depth)]
         self.rows = [np.empty(n, dtype=np.intp) for _ in range(spec.max_depth)]
-        self.sums = np.empty(size)
+        # leaf_value takes up to n residuals from sums
+        self.sums = np.empty(max(size, n))
         self.cumsum = np.empty(size)
         self.score = np.empty(size)
         self.blocked = np.empty(size, dtype=bool)
         self.in_left = np.empty(n, dtype=bool)
         self.n_left = np.arange(1, n, dtype=np.float64)
-        self.n_right = np.empty(n - 1)
 
     def searches(self, depth: int, n_rows: int) -> bool:
         return depth < self.spec.max_depth and n_rows >= self.min_rows
 
     def _select(self, mask: np.ndarray, block: _Block, depth: int, start: int, stop: int) -> _Block:
-        """Compress ``block`` by ``mask`` into rows [start, stop) of level ``depth``."""
+        """Gather ``block`` where ``mask`` holds into rows [start, stop) of level ``depth``."""
         span = slice(self.n_features * start, self.n_features * stop)
+        at = np.flatnonzero(mask)
         order, values = block
         return (
-            order.compress(mask, out=self.orders[depth][span]),
-            values.compress(mask, out=self.values[depth][span]),
+            order.take(at, out=self.orders[depth][span]),
+            values.take(at, out=self.values[depth][span]),
         )
 
     def root(self, rows: np.ndarray) -> _Block | None:
@@ -167,7 +170,7 @@ class _SplitSearch:
         That is the SSE reduction up to the parent's constant.  Candidates
         sit between consecutive distinct values with both children >=
         min_samples_leaf; ties go to the lowest feature index, then the
-        smallest threshold.
+        smallest threshold.  The feature is returned as its column of x.
         """
         nf = self.n_features
         msl = self.spec.min_samples_leaf
@@ -179,7 +182,8 @@ class _SplitSearch:
         csum = rs.cumsum(axis=1, out=self.cumsum[: nf * n].reshape(nf, n))
         sum_left = csum[:, lo:hi]
         n_left = self.n_left[lo:hi]
-        n_right = np.subtract(n, n_left, out=self.n_right[:k])
+        # n - n_left, as the same counts run the other way
+        n_right = n_left[::-1]
         right = np.subtract(csum[:, -1:], sum_left, out=self.sums[: nf * k].reshape(nf, k))
         np.square(right, out=right)
         np.divide(right, n_right, out=right)
@@ -197,19 +201,16 @@ class _SplitSearch:
         if not best_score > csum[f, -1] ** 2 / n:
             return None
         pos += lo
-        return f, 0.5 * (xs[f, pos] + xs[f, pos + 1])
+        return int(self.columns[f]), 0.5 * (xs[f, pos] + xs[f, pos + 1])
 
     def partition(
-        self, depth: int, rows: np.ndarray, block: _Block, f: int, thr: float
-    ) -> tuple[tuple[np.ndarray, _Block | None], tuple[np.ndarray, _Block | None]]:
-        """Split a node at x[:, f] <= thr.
-
-        Returns (rows, block) of the left and the right child; rows stay
-        ascending, the block is None when the child will not search.
-        """
+        self, depth: int, rows: np.ndarray, block: _Block, held: np.ndarray, f: int, thr: float
+    ) -> tuple[_Child, _Child]:
+        """Split a node's rows and its held-out rows at x[:, f] <= thr: the left child, then the right."""
         n = len(rows)
         order, values = block
-        column = slice(f * n, (f + 1) * n)
+        j = int(self.columns.searchsorted(f))
+        column = slice(j * n, (j + 1) * n)
         n_left = int(values[column].searchsorted(thr, side="right"))
         self.in_left[order[column][:n_left]] = True
         self.in_left[order[column][n_left:]] = False
@@ -227,18 +228,27 @@ class _SplitSearch:
             if searching[1]:
                 np.logical_not(mask, out=mask)
                 blocks[1] = self._select(mask, block, depth + 1, n_left, n)
-        return (child_rows[:n_left], blocks[0]), (child_rows[n_left:n], blocks[1])
+        held_left = self.x[held, f] <= thr
+        return (
+            (child_rows[:n_left], blocks[0], held[held_left]),
+            (child_rows[n_left:n], blocks[1], held[~held_left]),
+        )
 
-    def grow(self, nodes: list[tuple], rows: np.ndarray, block: _Block | None, depth: int = 0) -> int:
+    def grow(
+        self, nodes: list[tuple], rows: np.ndarray, block: _Block | None, held: np.ndarray, depth: int = 0
+    ) -> int:
         """Append the subtree's (feature, threshold, left, right, value) nodes in preorder; return its root's index."""
         node = len(nodes)
         nodes.append(())
         split = None if block is None else self.best_split(block, len(rows))
         if split is None:
-            nodes[node] = (-1, 0.0, -1, -1, self.leaf_value(rows))
+            value = self.leaf_value(rows)
+            self.fitted[rows] = value
+            self.fitted[held] = value
+            nodes[node] = (-1, 0.0, -1, -1, value)
             return node
         f, thr = split
-        left, right = self.partition(depth, rows, block, f, thr)
+        left, right = self.partition(depth, rows, block, held, f, thr)
         nodes[node] = (f, thr, self.grow(nodes, *left, depth + 1), self.grow(nodes, *right, depth + 1), 0.0)
         return node
 
@@ -264,15 +274,15 @@ def fit_arrays(
     trees: list[Tree] = []
     for _ in range(spec.n_trees):
         np.subtract(y, pred, out=search.residual)
-        rows = np.arange(n)
+        rows, held = np.arange(n), np.arange(0)
         if spec.subsample < 1.0:
             m = max(1, int(round(spec.subsample * n)))
-            rows = np.sort(rng.permutation(n)[:m])
+            perm = rng.permutation(n)
+            rows, held = np.sort(perm[:m]), perm[m:]
         nodes: list[tuple] = []
-        search.grow(nodes, rows, search.root(rows))
-        tree = Tree(*(np.asarray(col, dtype=dtype) for col, dtype in zip(zip(*nodes), _TREE_ARRAYS.values())))
-        pred = pred + spec.learning_rate * tree.predict(x)
-        trees.append(tree)
+        search.grow(nodes, rows, search.root(rows), held)
+        trees.append(Tree(*(np.asarray(col, dtype=dtype) for col, dtype in zip(zip(*nodes), _TREE_ARRAYS.values()))))
+        pred += spec.learning_rate * search.fitted
     return TrainedModel(
         spec=spec,
         trees=trees,
@@ -287,11 +297,38 @@ def fit(examples: ExampleSet, spec: RegressorSpec, feature_layout: str = "") -> 
 
 
 def predict_matrix(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+    """The boosted sum for each row of ``x``.
+
+    The trees are stacked into one set of node arrays, each tree's child
+    indices shifted by its offset, and every (tree, row) pair walks down
+    together; the leaf values are then added tree by tree, in order.
+    """
     if x.shape[1] != model.n_features:
         raise ValueError(f"feature width {x.shape[1]} does not match model ({model.n_features})")
     out = np.full(len(x), model.base_prediction)
-    for tree in model.trees:
-        out += model.spec.learning_rate * tree.predict(x)
+    if not model.trees:
+        return out
+    sizes = [len(t.feature) for t in model.trees]
+    starts = np.cumsum([0, *sizes[:-1]])
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(t, name) for t in model.trees]) for name in _TREE_ARRAYS
+    )
+    # a leaf tests column 0 and leads back to itself, so its pairs can keep walking
+    leaf = feature < 0
+    own = np.arange(len(leaf))
+    shift = np.repeat(starts, sizes)
+    left, right = np.where(leaf, own, left + shift), np.where(leaf, own, right + shift)
+    feature = np.where(leaf, 0, feature)
+    n, width = x.shape
+    flat = np.ascontiguousarray(x).ravel()
+    # pair p is tree p // n at row p % n; at[p] is where that row starts in flat
+    node = np.repeat(starts, n)
+    at = np.tile(np.arange(0, n * width, width), len(sizes))
+    while not leaf[node].all():
+        go_left = flat.take(at + feature[node]) <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    for row in value[node.reshape(len(sizes), n)]:
+        out += model.spec.learning_rate * row
     return out
 
 
@@ -413,7 +450,7 @@ def _to_dict(model: TrainedModel | Ensemble) -> dict:
 
 
 def _tree_from_dict(d: dict, n_features: int, where: str) -> Tree:
-    """Rebuild a tree, rejecting arrays that Tree.predict could not walk.
+    """Rebuild a tree, rejecting arrays that predict_matrix could not walk.
 
     grow writes nodes in preorder, so every child index is greater than its
     parent's; checking that keeps a corrupt file from looping forever.

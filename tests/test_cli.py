@@ -778,7 +778,7 @@ def _corrupt(case, payload):
     elif case == "child-out-of-range":
         tree["left"][0] = len(tree["feature"])
     elif case == "child-loops-back":
-        tree["right"][0] = 0  # would send Tree.predict round the root forever
+        tree["right"][0] = 0  # would send predict_matrix's walk round the root forever
     elif case == "feature-out-of-range":
         tree["feature"][0] = payload["n_features"]
     elif case == "feature-is-fractional":

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,16 @@ from sproutcast.regress import (
     Tree,
     TrainedModel,
     _SplitSearch,
+    _TREE_ARRAYS,
+    _from_dict,
+    _t_crit_975,
+    _to_dict,
     ensemble_predict,
+    ensemble_predict_matrix,
     fit,
     fit_arrays,
     fit_ensemble,
+    fit_ensemble_arrays,
     load_model,
     predict,
     predict_matrix,
@@ -105,7 +112,7 @@ def test_training_loss_monotone_without_subsampling(rng):
     pred = np.full(len(y), model.base_prediction)
     losses = []
     for tree in model.trees:
-        pred = pred + spec.learning_rate * tree.predict(x)
+        pred = pred + spec.learning_rate * tree_predict(tree, x)
         losses.append(np.mean((y - pred) ** 2))
     assert len(losses) == 80 and losses[-1] < 0.1 * losses[0]
     assert np.all(np.diff(losses) <= 1e-12)
@@ -222,7 +229,23 @@ def test_spec_validation():
 # The split search before column presorting: every node argsorts its own
 # n x F block (stably, so equal values keep row order) and scans the
 # cumulative sums.  The presorted search must pick the same split and grow
-# the same trees.
+# the same trees.  Training predictions come from walking each tree on its
+# own, as prediction did before predict_matrix stacked the trees.
+
+
+def tree_predict(tree, x):
+    """One tree's leaf value for each row of ``x``, walked level by level."""
+    node = np.zeros(len(x), dtype=np.int32)
+    feat = tree.feature[node]
+    while True:
+        active = np.flatnonzero(feat >= 0)
+        if active.size == 0:
+            break
+        cur = node[active]
+        go_left = x[active, feat[active]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+        feat = tree.feature[node]
+    return tree.value[node]
 
 
 def reference_best_split(x, r, msl):
@@ -287,7 +310,7 @@ def reference_trees(x, y, spec):
             right=np.asarray(right, dtype=np.int32),
             value=np.asarray(value, dtype=np.float64),
         )
-        pred = pred + spec.learning_rate * tree.predict(x)
+        pred = pred + spec.learning_rate * tree_predict(tree, x)
         trees.append(tree)
     return trees
 
@@ -322,14 +345,7 @@ def test_presorted_split_matches_reference(problem):
     assert picked == reference_best_split(x[rows], r[rows], msl)
 
 
-@pytest.mark.parametrize("subsample", [0.7, 1.0])
-@pytest.mark.parametrize("min_samples_leaf", [1, 4])
-def test_fit_trees_match_reference_grow(subsample, min_samples_leaf):
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=(90, 7))
-    x[:, 1] = np.round(x[:, 1])  # heavy ties
-    x[:, 4] = 3.0  # constant column
-    y = x[:, 0] - 2 * x[:, 1] + rng.normal(scale=0.3, size=90)
+def assert_trees_match_reference(x, y, subsample, min_samples_leaf):
     spec = RegressorSpec(
         n_trees=12, max_depth=3, learning_rate=0.3, min_samples_leaf=min_samples_leaf,
         subsample=subsample, seed=8,
@@ -340,3 +356,131 @@ def test_fit_trees_match_reference_grow(subsample, min_samples_leaf):
     for got, want in zip(model.trees, expected):
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    return model
+
+
+def tied_problem():
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(90, 7))
+    x[:, 1] = np.round(x[:, 1])  # heavy ties
+    x[:, 4] = 3.0  # constant column
+    y = x[:, 0] - 2 * x[:, 1] + rng.normal(scale=0.3, size=90)
+    return x, y
+
+
+@pytest.mark.parametrize("subsample", [0.7, 1.0])
+@pytest.mark.parametrize("min_samples_leaf", [1, 4])
+def test_fit_trees_match_reference_grow(subsample, min_samples_leaf):
+    assert_trees_match_reference(*tied_problem(), subsample, min_samples_leaf)
+
+
+@pytest.mark.parametrize("subsample", [0.7, 1.0])
+@pytest.mark.parametrize("min_samples_leaf", [1, 4])
+def test_fit_trees_match_reference_grow_with_constant_columns(subsample, min_samples_leaf):
+    x, y = tied_problem()
+    x[:, 0] = -1.0  # a constant column before every searched one
+    assert_trees_match_reference(x, y, subsample, min_samples_leaf)
+    # nothing to search: every tree is one leaf
+    model = assert_trees_match_reference(np.full_like(x, 0.5), y, subsample, min_samples_leaf)
+    assert all(len(tree.feature) == 1 for tree in model.trees)
+
+
+def test_held_out_rows_on_a_threshold_go_left():
+    # values 0, 0.5 and 1: a node whose sample holds only 0 and 1 splits at 0.5,
+    # which a held-out row can equal
+    rng = np.random.default_rng(5)
+    x = rng.choice([0.0, 0.5, 1.0], size=(60, 2))
+    y = 4 * x[:, 0] - x[:, 1] + rng.normal(scale=0.1, size=60)
+    assert_trees_match_reference(x, y, 0.5, 1)
+
+
+# ---------------------------------------------------------------- the walk
+#
+# predict_matrix walks all of a model's trees at once; the oracle walks one
+# tree at a time and adds lr * value tree by tree.
+
+
+def oracle_predict(model, x):
+    pred = np.full(len(x), model.base_prediction)
+    for tree in model.trees:
+        pred = pred + model.spec.learning_rate * tree_predict(tree, x)
+    return pred
+
+
+@st.composite
+def random_trees(draw, n_features, values):
+    """A tree in grow's preorder layout, up to 6 levels deep, possibly a single leaf."""
+    nodes = []
+
+    def grow(depth):
+        node = len(nodes)
+        nodes.append(())
+        if depth == 6 or draw(st.booleans()):
+            nodes[node] = (-1, 0.0, -1, -1, draw(SPREAD))
+        else:
+            f, thr = draw(st.integers(0, n_features - 1)), draw(values)
+            nodes[node] = (f, thr, grow(depth + 1), grow(depth + 1), 0.0)
+        return node
+
+    grow(0)
+    return Tree(*(np.asarray(col, dtype=dtype) for col, dtype in zip(zip(*nodes), _TREE_ARRAYS.values())))
+
+
+@st.composite
+def walk_problems(draw):
+    n_features = draw(st.integers(1, 4))
+    values = draw(st.sampled_from([TIED, SPREAD]))
+    x = draw(arrays(np.float64, (draw(st.integers(1, 30)), n_features), elements=values))
+    models = []
+    for _ in range(draw(st.integers(2, 4))):
+        trees = draw(st.lists(random_trees(n_features, values), max_size=5))
+        # max_depth 1: a tree drawn deeper than its spec allows, as a loaded file may hold
+        spec = RegressorSpec(n_trees=max(1, len(trees)), max_depth=1, learning_rate=draw(st.floats(0.01, 1.0)))
+        models.append(TrainedModel(spec, trees, draw(SPREAD), "", n_features))
+    return x, models
+
+
+def assert_walk_matches_oracle(x, models):
+    for model in models:
+        assert predict_matrix(model, x).tobytes() == oracle_predict(model, x).tobytes()
+    ens = Ensemble(models, np.zeros(0, dtype=np.int32), models[0].spec, "", x.shape[1])
+    preds = np.stack([oracle_predict(m, x) for m in models])
+    half = _t_crit_975(len(models) - 1) * preds.std(axis=0, ddof=1) / math.sqrt(len(models))
+    mean, got_half = ensemble_predict_matrix(ens, x)
+    assert mean.tobytes() == preds.mean(axis=0).tobytes()
+    assert got_half.tobytes() == half.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(walk_problems())
+def test_forest_walk_matches_per_tree_oracle(problem):
+    x, models = problem
+    assert_walk_matches_oracle(x, models)
+    # the same trees as a model file holds them
+    loaded = [_from_dict(json.loads(json.dumps(_to_dict(m))), "model", ("single",)) for m in models]
+    assert_walk_matches_oracle(x, loaded)
+
+
+def test_forest_walk_of_models_without_trees(rng):
+    assert_walk_matches_oracle(rng.normal(size=(7, 2)), [constant_model(v, n_features=2) for v in (1.0, 3.0)])
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_predict_walks_one_member_at_a_time(rng):
+    # stacking all 10 x 60 trees into one walk would need ten times one member's walk slots
+    x = rng.normal(size=(300, 4))
+    y = x[:, 0] - x[:, 1] + rng.normal(scale=0.1, size=300)
+    ens = fit_ensemble_arrays(x, y, RegressorSpec(n_trees=60, max_depth=3, min_samples_leaf=2, seed=3), n_members=10)
+    rows = rng.normal(size=(4000, 4))
+    member = _peak_bytes(lambda: predict_matrix(ens.members[0], rows))
+    whole = _peak_bytes(lambda: ensemble_predict_matrix(ens, rows))
+    block = len(ens.members) * len(rows) * 8
+    assert whole <= 1.5 * (member + block)
