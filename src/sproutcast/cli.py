@@ -100,6 +100,8 @@ def cmd_synth(args: argparse.Namespace) -> _Written:
         low, high = synth.SynthConfig.signature_band_hz
         values["signature_band_hz"] = (given.get("band_low", low), given.get("band_high", high))
     if given.get("raw_256hz"):
+        if "sample_rate_hz" in given:
+            raise ConfigError("--raw-256hz cannot be combined with --rate")
         values["sample_rate_hz"] = 256.0
     cfg = synth.SynthConfig(**values)
     out_dir = _output(args.out, directory=True)
@@ -273,19 +275,13 @@ def build_parser() -> _Parser:
     # a flag not given sets no attribute
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk", argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output directory for manifest + CSVs")
-    p.add_argument("--subjects", type=int, dest="n_subjects")
-    p.add_argument("--days-min", type=int, dest="days_min")
-    p.add_argument("--days-max", type=int, dest="days_max")
-    p.add_argument("--rate", type=float, dest="sample_rate_hz", help="sample rate in Hz")
+    for f in dataclasses.fields(synth.SynthConfig):
+        if f.metadata:
+            flag, keywords = option_flag(f)
+            p.add_argument(flag, **keywords)
+    p.add_argument("--band-low", type=float)
+    p.add_argument("--band-high", type=float)
     p.add_argument("--raw-256hz", action="store_true", help="generate at 256 Hz to exercise conditioning")
-    p.add_argument("--band-low", type=float, dest="band_low")
-    p.add_argument("--band-high", type=float, dest="band_high")
-    p.add_argument("--onset", type=int, dest="signature_onset_days_before", help="signature onset, days before sprouting")
-    p.add_argument("--gain", type=float, dest="signature_gain")
-    p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.add_argument("--drift", type=float, dest="drift_amplitude")
-    p.add_argument("--temp", type=int, dest="storage_temp_c", help="storage temperature to record (C)")
-    p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--label")
     p.set_defaults(func=cmd_synth)
 

@@ -92,40 +92,40 @@ def window_width(window_seconds: float, rate_hz: float, names=("window_seconds",
     return int(round(exact))
 
 
-def _option(default, section: str, flag: str | None = None, **argparse_keywords):
-    """A PipelineConfig field read from INI ``[section]`` and from ``flag``
-    (default ``--<name-with-dashes>``), with any further add_argument keywords."""
+def option(default, section: str, flag: str | None = None, **argparse_keywords):
+    """A config field set by ``flag`` (default ``--<name-with-dashes>``), with any
+    further add_argument keywords; a PipelineConfig field is read from INI ``[section]`` too."""
     return field(default=default, metadata={"section": section, "flag": flag, "argparse": argparse_keywords})
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    notch_hz: tuple[float, ...] = _option((50.0, 100.0), "preprocess", "--notch", action="append")
-    notch_q: float = _option(30.0, "preprocess")
-    lowpass_hz: float = _option(0.4, "preprocess", "--lowpass")
-    lowpass_q: float = _option(0.707, "preprocess")
-    target_hz: float = _option(1.0, "preprocess")
-    window_seconds: int = _option(86400, "preprocess")
-    scales: int = _option(8, "wavelet", help="number of CWT scales")
-    omega0: float = _option(6.0, "wavelet")
-    entropy_bins: int = _option(64, "features")
-    time_domain: bool = _option(
+    notch_hz: tuple[float, ...] = option((50.0, 100.0), "preprocess", "--notch", action="append")
+    notch_q: float = option(30.0, "preprocess")
+    lowpass_hz: float = option(0.4, "preprocess", "--lowpass")
+    lowpass_q: float = option(0.707, "preprocess")
+    target_hz: float = option(1.0, "preprocess")
+    window_seconds: int = option(86400, "preprocess")
+    scales: int = option(8, "wavelet", help="number of CWT scales")
+    omega0: float = option(6.0, "wavelet")
+    entropy_bins: int = option(64, "features")
+    time_domain: bool = option(
         False, "features", action="store_const", const=True, help="extract features from raw windows, skipping the CWT"
     )
-    n_trees: int = _option(300, "regress")
-    max_depth: int = _option(4, "regress")
-    learning_rate: float = _option(0.05, "regress")
-    min_samples_leaf: int = _option(5, "regress")
-    subsample: float = _option(0.8, "regress")
-    strategy: str = _option("single", "train", choices=_STRATEGIES)
-    uq_th: float | None = _option(None, "train", help="max allowed 95%% CI width (days)")
-    n_members: int = _option(10, "train")
-    seed: int = _option(0, "train")
-    tlag_min: int = _option(-29, "evaluate")
-    tlag_max: int = _option(0, "evaluate")
-    calibration_bin_width: float = _option(5.0, "evaluate", "--bin-width")
-    rolling_n: int = _option(7, "evaluate")
-    jobs: int = _option(1, "evaluate", help="max parallel fold workers")
+    n_trees: int = option(300, "regress")
+    max_depth: int = option(4, "regress")
+    learning_rate: float = option(0.05, "regress")
+    min_samples_leaf: int = option(5, "regress")
+    subsample: float = option(0.8, "regress")
+    strategy: str = option("single", "train", choices=_STRATEGIES)
+    uq_th: float | None = option(None, "train", help="max allowed 95%% CI width (days)")
+    n_members: int = option(10, "train")
+    seed: int = option(0, "train")
+    tlag_min: int = option(-29, "evaluate")
+    tlag_max: int = option(0, "evaluate")
+    calibration_bin_width: float = option(5.0, "evaluate", "--bin-width")
+    rolling_n: int = option(7, "evaluate")
+    jobs: int = option(1, "evaluate", help="max parallel fold workers")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "notch_hz", tuple(self.notch_hz))  # --notch gives a list
@@ -134,7 +134,12 @@ class PipelineConfig:
             raise ConfigError("--uq-th is required with --strategy ensemble")
         if self.tlag_min > self.tlag_max:
             raise ConfigError("tlag_min must not exceed tlag_max")
-        window_width(self.window_seconds, self.target_hz)
+        # plan_scales needs f_min = 4 r / W below f_max = r / 4
+        if window_width(self.window_seconds, self.target_hz) < 17 and not self.time_domain:
+            raise ConfigError(
+                f"window_seconds {self.window_seconds} at target_hz {self.target_hz} is fewer than "
+                f"17 samples, too short for the CWT"
+            )
 
 
 _OPTIONS = {f.name: f for f in fields(PipelineConfig)}
@@ -145,7 +150,7 @@ _SCALARS = {"int": int, "float": float, "float | None": float, "tuple[float, ...
 
 
 def option_flag(f: Field) -> tuple[str, dict]:
-    """The CLI flag of PipelineConfig field ``f`` and its add_argument keywords."""
+    """The CLI flag of config field ``f`` and its add_argument keywords."""
     keywords = {"dest": f.name, **f.metadata["argparse"]}
     if f.type != "bool":  # a bool flag takes no value
         keywords["type"] = _SCALARS[f.type]
@@ -215,6 +220,7 @@ __all__ = [
     "window_width",
     "PipelineConfig",
     "SECTIONS",
+    "option",
     "option_flag",
     "load_config_file",
     "resolve_config",

@@ -10,8 +10,7 @@ constant-mean baseline so null datasets can be recognized.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -71,7 +70,7 @@ def _run_fold(data: ExampleSet, cfg: PipelineConfig, fold: int) -> FoldResult:
     train = data.groups != fold
     test = ~train
     held_out = data.subject_ids()[fold]
-    model = fit_config(data.x[train], data.y[train], cfg, data.layout, seed=cfg.seed + fold)
+    model = fit_config(data.x[train], data.y[train], replace(cfg, seed=cfg.seed + fold), data.layout)
     estimates = window_estimates(model, [data.features[i] for i in np.flatnonzero(test)], cfg.uq_th)
     true_day = data.true_day[held_out]
     subject_estimate = aggregate(estimates, observation_day=true_day)
@@ -114,6 +113,10 @@ def loo_cv(data: ExampleSet, cfg: PipelineConfig | None = None) -> list[FoldResu
             raise ValueError(f"subject {sid!r} contributed no windows; cannot evaluate")
     folds = range(len(data.true_day))
     if cfg.jobs > 1:
+        # imported here: it pulls in multiprocessing, socket and subprocess, and
+        # most runs evaluate in one process
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             return list(pool.map(partial(_run_fold, data, cfg), folds))
     return [_run_fold(data, cfg, fold) for fold in folds]

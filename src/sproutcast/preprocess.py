@@ -34,28 +34,9 @@ class SignalWindow:
     samples: np.ndarray
 
 
-def _cookbook(freq_hz: float, sample_rate_hz: float, q: float, numerator) -> tuple[np.ndarray, np.ndarray]:
-    """RBJ cookbook (b, a) with b = numerator(cos w0), normalized so a[0] == 1."""
-    w0 = 2.0 * math.pi * freq_hz / sample_rate_hz
-    alpha = math.sin(w0) / (2.0 * q)
-    cw = math.cos(w0)
-    b = np.array(numerator(cw))
-    a = np.array([1.0 + alpha, -2.0 * cw, 1.0 - alpha])
-    return b / a[0], a / a[0]
-
-
-def notch_coefficients(center_hz: float, sample_rate_hz: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """RBJ cookbook notch (b, a), normalized so a[0] == 1."""
-    return _cookbook(center_hz, sample_rate_hz, q, lambda cw: [1.0, -2.0 * cw, 1.0])
-
-
-def lowpass_coefficients(cutoff_hz: float, sample_rate_hz: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """RBJ cookbook low-pass (b, a), normalized so a[0] == 1."""
-    return _cookbook(cutoff_hz, sample_rate_hz, q, lambda cw: [(1.0 - cw) / 2.0, 1.0 - cw, (1.0 - cw) / 2.0])
-
-
-def _biquad(rec: Recording, what: str, freq_hz: float, q: float, coefficients) -> Recording:
-    """Run the biquad ``coefficients(freq_hz, rate, q)`` causally; output length equals input length."""
+def _biquad(rec: Recording, what: str, freq_hz: float, q: float, numerator) -> Recording:
+    """Run the RBJ cookbook biquad with b = numerator(cos w0) causally, normalized
+    so a[0] == 1; output length equals input length."""
     if not freq_hz > 0 or not q > 0:
         raise ValueError(f"{what} {freq_hz} Hz and q {q} must be positive")
     if freq_hz >= rec.sample_rate_hz / 2:
@@ -64,18 +45,22 @@ def _biquad(rec: Recording, what: str, freq_hz: float, q: float, coefficients) -
     # recordings off the target rate are ever filtered
     from scipy.signal import lfilter
 
-    b, a = coefficients(freq_hz, rec.sample_rate_hz, q)
-    return replace(rec, samples=lfilter(b, a, rec.samples))
+    w0 = 2.0 * math.pi * freq_hz / rec.sample_rate_hz
+    alpha = math.sin(w0) / (2.0 * q)
+    cw = math.cos(w0)
+    b = np.array(numerator(cw))
+    a = np.array([1.0 + alpha, -2.0 * cw, 1.0 - alpha])
+    return replace(rec, samples=lfilter(b / a[0], a / a[0], rec.samples))
 
 
 def notch_filter(rec: Recording, center_hz: float, q: float = PipelineConfig.notch_q) -> Recording:
     """Apply a second-order notch causally."""
-    return _biquad(rec, "notch center", center_hz, q, notch_coefficients)
+    return _biquad(rec, "notch center", center_hz, q, lambda cw: [1.0, -2.0 * cw, 1.0])
 
 
 def biquad_lowpass(rec: Recording, cutoff_hz: float, q: float = PipelineConfig.lowpass_q) -> Recording:
     """Apply a second-order low-pass causally."""
-    return _biquad(rec, "low-pass cutoff", cutoff_hz, q, lowpass_coefficients)
+    return _biquad(rec, "low-pass cutoff", cutoff_hz, q, lambda cw: [(1.0 - cw) / 2.0, 1.0 - cw, (1.0 - cw) / 2.0])
 
 
 def downsample(rec: Recording, target_hz: float) -> Recording:
@@ -130,8 +115,6 @@ def segment(rec: Recording, window_seconds: int = PipelineConfig.window_seconds)
 __all__ = [
     "SECONDS_PER_DAY",
     "SignalWindow",
-    "notch_coefficients",
-    "lowpass_coefficients",
     "notch_filter",
     "biquad_lowpass",
     "downsample",

@@ -351,7 +351,9 @@ def fit_ensemble(
     seed: int | None = None,
     feature_layout: str = "",
 ) -> Ensemble:
-    return fit_ensemble_arrays(examples.x, examples.y, spec, n_members, seed, feature_layout)
+    """``fit_ensemble_arrays``, with ``seed`` in place of spec.seed if given."""
+    spec = spec if seed is None else replace(spec, seed=seed)
+    return fit_ensemble_arrays(examples.x, examples.y, spec, n_members, feature_layout)
 
 
 def fit_ensemble_arrays(
@@ -359,14 +361,13 @@ def fit_ensemble_arrays(
     y: np.ndarray,
     spec: RegressorSpec,
     n_members: int = PipelineConfig.n_members,
-    seed: int | None = None,
     feature_layout: str = "",
 ) -> Ensemble:
     """Partition the data into n_members equal subsets and fit one model each.
 
-    The shuffled partition is seeded; subset sizes differ by at most one and
-    member u trains with seed + u so members stay decorrelated but the whole
-    ensemble is reproducible.
+    The shuffled partition is drawn from spec.seed; subset sizes differ by at
+    most one and member u trains with spec.seed + u so members stay
+    decorrelated but the whole ensemble is reproducible.
     """
     n = len(y)
     needed = n_members * max(2, spec.min_samples_leaf)
@@ -375,15 +376,13 @@ def fit_ensemble_arrays(
             f"{n} examples cannot populate {n_members} ensemble members "
             f"(need at least {needed})"
         )
-    seed = spec.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(spec.seed).permutation(n)
     assignment = np.empty(n, dtype=np.int32)
     members = []
     for u, subset in enumerate(np.array_split(perm, n_members)):
         assignment[subset] = u
         members.append(
-            fit_arrays(x[subset], y[subset], replace(spec, seed=seed + u), feature_layout)
+            fit_arrays(x[subset], y[subset], replace(spec, seed=spec.seed + u), feature_layout)
         )
     return Ensemble(
         members=members,
@@ -417,15 +416,11 @@ def ensemble_predict(ens: Ensemble, features: FeatureVector | np.ndarray) -> tup
     return float(mean[0]), float(half[0])
 
 
-def fit_config(
-    x: np.ndarray, y: np.ndarray, cfg: PipelineConfig, feature_layout: str, seed: int | None = None
-) -> TrainedModel | Ensemble:
-    """Fit the model of ``cfg.strategy`` with ``cfg``'s regressor values, and ``seed`` in place of cfg.seed if given."""
+def fit_config(x: np.ndarray, y: np.ndarray, cfg: PipelineConfig, feature_layout: str) -> TrainedModel | Ensemble:
+    """Fit the model of ``cfg.strategy`` with ``cfg``'s regressor values."""
     spec = RegressorSpec(**{f.name: getattr(cfg, f.name) for f in fields(RegressorSpec)})
-    if seed is not None:
-        spec = replace(spec, seed=seed)
     if cfg.strategy == "ensemble":
-        return fit_ensemble_arrays(x, y, spec, cfg.n_members, feature_layout=feature_layout)
+        return fit_ensemble_arrays(x, y, spec, cfg.n_members, feature_layout)
     return fit_arrays(x, y, spec, feature_layout)
 
 

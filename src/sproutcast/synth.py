@@ -16,7 +16,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from sproutcast.config import ConfigError, check_bounds, window_width
+from sproutcast.config import ConfigError, check_bounds, option, window_width
 from sproutcast.ingest import Recording
 from sproutcast.preprocess import SECONDS_PER_DAY
 
@@ -29,17 +29,17 @@ _START_DAY = date(2023, 10, 1)
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_subjects: int = 64
-    days_min: int = 40
-    days_max: int = 80
-    sample_rate_hz: float = 1.0
-    signature_band_hz: tuple[float, float] = (0.01, 0.05)
-    signature_onset_days_before: int = 20
-    signature_gain: float = 4.0
-    noise_std: float = 0.3
-    drift_amplitude: float = 1.5
-    storage_temp_c: int = 8
-    seed: int = 7
+    n_subjects: int = option(64, "synth", "--subjects")
+    days_min: int = option(40, "synth")
+    days_max: int = option(80, "synth")
+    sample_rate_hz: float = option(1.0, "synth", "--rate", help="sample rate in Hz")
+    signature_band_hz: tuple[float, float] = (0.01, 0.05)  # --band-low and --band-high
+    signature_onset_days_before: int = option(20, "synth", "--onset", help="signature onset, days before sprouting")
+    signature_gain: float = option(4.0, "synth", "--gain")
+    noise_std: float = option(0.3, "synth")
+    drift_amplitude: float = option(1.5, "synth", "--drift")
+    storage_temp_c: int = option(8, "synth", "--temp", help="storage temperature to record (C)")
+    seed: int = option(7, "synth")
 
     def __post_init__(self) -> None:
         check_bounds(self)

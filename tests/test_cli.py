@@ -432,6 +432,13 @@ def _insert_row(data, row):
     return csv
 
 
+def _add_column(data):
+    csv = data / "p000.csv"
+    header, *rows = csv.read_text().splitlines()
+    csv.write_text("\n".join([header, *(row + ",0" for row in rows)]) + "\n")
+    return csv
+
+
 # case -> corrupt(data dir), which returns the path the error must name
 _UNREADABLE_SIGNALS = {
     "path-is-directory": lambda d: _set_signal_path(d, "sub"),
@@ -442,6 +449,7 @@ _UNREADABLE_SIGNALS = {
     "row-not-utf8": lambda d: _garble_signal(d, -3),
     "comment-row": lambda d: _insert_row(d, b"# sensor rebooted"),
     "trailing-comment": lambda d: _insert_row(d, b"1.5,0.25 # x"),
+    "three-columns": _add_column,
 }
 
 
@@ -737,6 +745,59 @@ def test_synth_flags_reach_synth_config_and_keep_its_defaults():
     # a flag not given leaves no value behind, so SynthConfig's defaults are the only ones
     given = vars(build_parser().parse_args(["synth", "--out", "d"]))
     assert set(given) == {"command", "func", "out"}
+
+
+def test_synth_refuses_raw_256hz_with_a_rate(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--rate", "1", "--raw-256hz"]) == 3
+    assert capsys.readouterr().err == "error[3]: --raw-256hz cannot be combined with --rate\n"
+    assert not out.exists()
+
+
+def test_synth_raw_256hz_generates_at_256hz(tmp_path, monkeypatch):
+    configs = []
+    # a real 256 Hz day is about 0.6 GB of CSV: record the config and generate nothing
+    monkeypatch.setattr(cli.synth, "iter_recordings", lambda cfg: configs.append(cfg) or iter(()))
+    assert main(["synth", "--out", str(tmp_path / "out"), "--subjects", "2", "--raw-256hz"]) == 0
+    assert [(cfg.sample_rate_hz, cfg.n_subjects) for cfg in configs] == [(256.0, 2)]
+
+
+def test_window_too_short_for_the_cwt_is_refused_before_any_input_is_read(synth_dir, tmp_path, capsys):
+    for csv in synth_dir.glob("*.csv"):
+        csv.unlink()
+    flags = ["--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "f.csv"), "--target-hz", "0.01"]
+    # 10 samples: plan_scales would ask f_min = 4 r / 10 >= f_max = r / 4
+    assert main(["features", *flags, "--window-seconds", "1000"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error[3]: window_seconds 1000 at target_hz 0.01 is fewer than 17 samples")
+    # W = 17 is the shortest window the CWT accepts; without it the CSVs are read, and found missing
+    assert main(["features", *flags, "--window-seconds", "1700"]) == 4
+    assert main(["features", *flags, "--window-seconds", "1000", "--time-domain"]) == 4
+
+
+def test_evaluate_refuses_a_subject_shorter_than_a_window(config_file, tmp_path, capsys):
+    recordings = [make_recording("p000", days=1, rate=RATE), make_recording("p001", days=3, rate=RATE)]
+    manifest = write_corpus(recordings, tmp_path / "data", "short")
+    argv = ["evaluate", "--manifest", str(manifest), "--config", str(config_file), "--out", str(tmp_path / "r.json")]
+    assert main([*argv, "--window-seconds", "172800"]) == 3
+    assert capsys.readouterr().err == "error[3]: subject 'p000' contributed no windows; cannot evaluate\n"
+
+
+def test_features_refuses_a_window_after_the_sprouting_day(config_file, tmp_path, capsys):
+    manifest = write_corpus([make_recording("p000", days=3, rate=RATE, sprout_day=1)], tmp_path / "data", "late")
+    out = tmp_path / "f.csv"
+    assert main(["features", "--manifest", str(manifest), "--config", str(config_file), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error[3]: subject 'p000': window at day 2 is after the sprouting day 1\n"
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_process_pool():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, sproutcast.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_evaluate_flags_reach_config(synth_dir, tmp_path, capsys):

@@ -315,6 +315,13 @@ def test_build_dataset_requires_labels():
         build_dataset([unlabelled], _tiny_cfg(rate))
 
 
+def test_build_dataset_refuses_a_repeated_id():
+    rate = 1 / 864
+    rec = make_recording("p0", days=3, rate=rate)
+    with pytest.raises(IngestError, match="duplicate subject_id 'p0'"):
+        build_dataset([rec, rec], _tiny_cfg(rate))
+
+
 def test_time_domain_mode_gives_14_features():
     rate = 1 / 864
     rec = make_recording("p0", days=5, rate=rate, sprout_day=5)

@@ -94,6 +94,8 @@ def test_predict_is_deterministic_and_checks_layout(rng):
     assert predict(model, fv) == predict(model, fv)
     with pytest.raises(ValueError, match="does not match"):
         predict(model, np.zeros(5))
+    with pytest.raises(ValueError, match="feature width 5 does not match model"):
+        predict_matrix(model, np.zeros((3, 5)))
 
 
 def test_fit_rejects_degenerate_input(rng):
@@ -151,6 +153,18 @@ def test_ensemble_partition_law(rng):
     # same seed reproduces the same assignment
     again = fit_ensemble(examples, spec, n_members=10, seed=21)
     assert np.array_equal(ens.subset_assignment, again.subset_assignment)
+
+
+def test_ensemble_saves_the_seed_it_was_drawn_from(tmp_path, rng):
+    x = rng.normal(size=(100, 2))
+    examples = make_examples(x, x[:, 0])
+    ens = fit_ensemble(examples, RegressorSpec(n_trees=5, min_samples_leaf=1, seed=4), n_members=10, seed=21)
+    first = save_model(ens, tmp_path / "first.json")
+    loaded = load_model(first)
+    assert ens.spec.seed == loaded.spec.seed == 21
+    # the saved spec alone refits the same model
+    again = save_model(fit_ensemble(examples, loaded.spec, n_members=10), tmp_path / "again.json")
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_ensemble_too_few_examples(rng):
