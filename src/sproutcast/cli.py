@@ -341,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, IngestError, ValueError, OSError) as exc:  # an OSError from a write names its path
         print(f"error[{EXIT_CONFIG}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error[{EXIT_CONFIG}]: {args.command}: not enough memory ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

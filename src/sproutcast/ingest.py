@@ -16,6 +16,7 @@ Every JSON file the program reads (manifest, model, report) goes through
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -31,7 +32,8 @@ from typing import Iterator
 import numpy as np
 
 CSV_HEADER = "elapsed_seconds,voltage_volts"
-_CSV_CHUNK_ROWS = 8192
+# rows formatted at once: few enough that the formatter's arrays stay in cache
+_CSV_CHUNK_ROWS = 2048
 # a signal CSV's sidecar: magic, SHA-256 of the CSV's bytes, SHA-256 of the
 # payload, then the payload, the voltages as little-endian float64
 SIDECAR_SUFFIX = ".f8"
@@ -334,25 +336,138 @@ def read_signal_csv(path: Path) -> np.ndarray:
     return voltages
 
 
+# %.17g writes fixed notation for a decimal exponent e (after rounding to 17
+# digits) in -4..16.  Such a value, or a signed zero, is written from n =
+# round(|v| * 10**(16 - e)) as a field of 11 words from a table of 4-byte
+# strings: 0-1 the tail of "-0.000" and n's lead digit, 2-5 and 6-9 two copies
+# of n's other 16 digits, 10 spare.  "." goes over the second copy's digit e,
+# the separator after the last digit, and a mask keyed by (e, significant
+# digits, sign) keeps the bytes %.17g writes.
+_FIELD = 44
+
+
+@functools.cache
+def _csv_tables() -> tuple:
+    """The formatter's tables, built on the first write."""
+    pow10 = np.array([float(10**p) for p in range(23)])  # each 10**p here is a double exactly
+    big = 134217729.0 * pow10  # Dekker's split, 2**27 + 1: 10**p == hi + lo, each of 26 bits
+    p_hi = big - (big - pow10)
+    groups = [b"%04d" % g for g in range(10000)]
+    words = b"".join(groups)
+    # the place (1-4) of a group's last nonzero digit; below any digit count for a zero group
+    last = np.array([-99] + [len(g.rstrip(b"0")) for g in groups[1:]], dtype=np.int8)
+    head, point = np.zeros((2, 21), dtype=np.intp)  # by e + 4: word 0, then word 1 for lead digit 0
+    masks = np.zeros((21, 17, 2, _FIELD), dtype=bool)  # e + 4, significant digits - 1, sign, byte
+    for e in range(-4, 17):
+        prefix = b"\0" * 6 + (b"-0." + b"0" * (-e - 1) if e < 0 else b"-")
+        head[e + 4], point[e + 4] = len(words) // 4, 23 + e if e >= 0 else _FIELD - 1
+        words += prefix[-7:-3] + b"".join(prefix[-3:] + b"%d" % d for d in range(10))
+        for sig in range(1, 18):
+            m = masks[e + 4, sig - 1]
+            end = 7 + sig if e < 0 else 23 + sig if sig > e + 1 else 8 + e
+            m[1, 5 + e if e < 0 else 6] = m[:, end] = True  # the sign, the separator
+            if e < 0:  # "0.", -e - 1 zeros, the digits
+                m[:, 6 + e : end] = True
+            else:  # e + 1 digits, then any others after "." from the second copy
+                m[:, 7 : 8 + e] = m[:, min(23 + e, end) : end] = True
+    masks = masks.reshape(-1, _FIELD)
+    seps = _FIELD - 1 - np.argmax(masks[:, ::-1], axis=1)  # each mask's last byte
+    quads, masks = np.frombuffer(words, dtype=np.uint32), masks.view(f"V{_FIELD}").ravel()
+    return pow10, p_hi, pow10 - p_hi, quads, last, head, point, masks, seps
+
+
+def _scaled17(a: np.ndarray, e: np.ndarray, pow10, p_hi, p_lo) -> tuple[np.ndarray, np.ndarray]:
+    """n = round(a * 10**(16 - e)), and whether that product is an exact rounding tie;
+    where e is one too large, n < 10**16 even if the product is below 2**53 and no integer."""
+    p = 16 - e
+    prod = a * pow10[p]
+    big = 134217729.0 * a
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = p_hi[p], p_lo[p]
+    err = ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo  # prod + err is a * 10**p exactly
+    near = np.rint(err)
+    n = prod.astype(np.int64) + near.astype(np.int64)  # from 2**53 on, prod is an even integer
+    return n, np.abs(err - near) == 0.5
+
+
+def _percent_rows(rows: np.ndarray) -> bytes:  # the formatter's fallback
+    return (("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())).encode()
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """``_percent_rows(rows)`` for float64 rows (n, 2); it writes with that each row holding a value
+    %.17g writes in exponent notation, one not finite, or one whose 17 digits round an exact tie."""
+    pow10, p_hi, p_lo, quads, last, head, point, masks, seps = _csv_tables()
+    v = rows.ravel()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    fast = (e >= -5) & (e <= 16)
+    e = np.where(fast, e, 0).astype(np.intp)
+    fast |= a == 0
+    a[~fast] = 0.0
+    n, tie = _scaled17(a, e, pow10, p_hi, p_lo)
+    # log10 may land one decade off: scale those values again, one decade over
+    wrong = np.flatnonzero((a > 0) & ((n < 10**16) | (n >= 10**17)))
+    if len(wrong):
+        e[wrong] += np.where(n[wrong] >= 10**17, 1, -1)
+        fast[wrong] &= (e[wrong] >= -5) & (e[wrong] <= 16)
+        e[~fast] = 0
+        n[wrong], tie[wrong] = _scaled17(a[wrong], e[wrong], pow10, p_hi, p_lo)
+        fast[wrong] &= (n[wrong] >= 10**16) & (n[wrong] < 10**17)
+    fast &= ~tie & (e >= -4)
+    n[~fast] = e[~fast] = 0
+    e += 4
+    words = np.empty((11, len(v)), dtype=np.intp)
+    words[0] = words[10] = head[e]
+    top, low = np.divmod(n, 10**8)
+    np.divmod(top, 10**8, out=(words[1], top))
+    np.divmod(top, 10**4, out=(words[2], words[3]))
+    np.divmod(low, 10**4, out=(words[4], words[5]))
+    words[6:10] = words[2:6]
+    words[1] += head[e] + 1
+    sig = np.ones(len(v), dtype=np.int8)
+    for k in range(4):
+        np.maximum(sig, last[words[2 + k]] + (1 + 4 * k), out=sig)
+    key = (e * 17 + sig - 1) * 2 + np.signbit(v)
+    flat = np.ascontiguousarray(quads[words].T).view(np.uint8).reshape(-1)
+    at = np.arange(0, flat.size, _FIELD)
+    flat[at + point[e]] = ord(".")
+    at += seps[key]
+    flat[at[0::2]], flat[at[1::2]] = ord(","), ord("\n")
+    field, mask = flat.reshape(len(rows), -1), np.take(masks, key).view(bool).reshape(len(rows), -1)
+    bad = ~(fast[0::2] & fast[1::2])
+    mask[bad] = False
+    text = field[mask].tobytes()
+    if not bad.any():
+        return text
+    runs = np.flatnonzero(np.diff(bad, prepend=False, append=False)).reshape(-1, 2)  # [lo, hi) of each
+    cuts = [0, *np.cumsum(mask.sum(axis=1))[runs[:, 0]].tolist(), len(text)]
+    slow = [_percent_rows(rows[lo:hi]) for lo, hi in runs.tolist()] + [b""]
+    return b"".join(piece for i, run in enumerate(slow) for piece in (text[cuts[i] : cuts[i + 1]], run))
+
+
 def write_signal_csv(path: Path, samples: np.ndarray, sample_rate_hz: float) -> None:
     """Write a signal CSV that round-trips float64 voltages exactly, and its sidecar.
 
-    The bytes are those of ``np.savetxt(fh, rows, delimiter=",", fmt="%.17g")``;
-    each chunk of rows is formatted by one ``%`` on a repeated row format.
-    The sidecar (see ``read_signal_csv``) is written only for samples a read
-    would accept.
+    The bytes are those of ``np.savetxt(fh, rows, delimiter=",", fmt="%.17g")`` with the rows
+    ``np.arange(len(samples)) / sample_rate_hz, samples``, built and formatted a chunk at a time.
+    The sidecar (see ``read_signal_csv``) is written only for samples a read would accept.
     """
     path = Path(path)
     samples = np.asarray(samples, dtype=np.float64)
-    elapsed = np.arange(len(samples), dtype=np.float64) / sample_rate_hz
-    rows = np.column_stack([elapsed, samples])
     header = (CSV_HEADER + "\n").encode()
     digest = hashlib.sha256(header)
+    rows = np.empty((_CSV_CHUNK_ROWS, 2))
     with path.open("wb") as fh:
         fh.write(header)
-        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[start : start + _CSV_CHUNK_ROWS]
-            data = (("%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist())).encode()
+        for start in range(0, len(samples), _CSV_CHUNK_ROWS):
+            chunk = rows[: len(samples) - start]
+            # each elapsed value is an exact integer before the division, so equal to the whole-array one
+            np.divide(np.arange(start, start + len(chunk), dtype=np.float64), sample_rate_hz, out=chunk[:, 0])
+            chunk[:, 1] = samples[start : start + len(chunk)]
+            data = _format_rows(chunk)
             digest.update(data)
             fh.write(data)
     if _voltages_fault(samples) is None:

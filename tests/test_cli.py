@@ -762,6 +762,19 @@ def test_synth_raw_256hz_generates_at_256hz(tmp_path, monkeypatch):
     assert [(cfg.sample_rate_hz, cfg.n_subjects) for cfg in configs] == [(256.0, 2)]
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # numpy's MemoryError for a raw 256 Hz recording of the default 40-80 days
+    def too_big(cfg):
+        raise MemoryError("Unable to allocate 13.2 GiB for an array with shape (1769472000,) and data type float64")
+
+    monkeypatch.setattr(cli.synth, "iter_recordings", too_big)
+    assert main(["synth", "--out", str(tmp_path / "out"), "--raw-256hz"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error[3]: synth: not enough memory (Unable to allocate 13.2 GiB")
+    assert "Traceback" not in err
+
+
 def test_window_too_short_for_the_cwt_is_refused_before_any_input_is_read(synth_dir, tmp_path, capsys):
     for csv in synth_dir.glob("*.csv"):
         csv.unlink()
