@@ -24,9 +24,8 @@ from sproutcast.config import SECTIONS, ConfigError, PipelineConfig, option_flag
 from sproutcast.estimate import aggregate, window_estimates
 from sproutcast.evaluate import compute_metrics, loo_cv, report_from_dict, write_curves, write_report
 from sproutcast.features import build_dataset, extract_subject_features, layout_version
-from sproutcast.ingest import (
-    IngestError, day_offset_date, iter_recordings, load_manifest, read_json, write_json, write_recording, write_signal_csv
-)
+from sproutcast.ingest import (IngestError, atomic_output, day_offset_date, iter_recordings, load_manifest, read_json,
+                               write_json, write_recording, write_signal_csv)
 from sproutcast.preprocess import condition
 from sproutcast.regress import Ensemble, fit_config, load_model, save_model
 
@@ -106,7 +105,6 @@ def cmd_synth(args: argparse.Namespace) -> _Written:
     cfg = synth.SynthConfig(**values)
     out_dir = _output(args.out, directory=True)
     label = given.get("label") or cfg.label
-    out_dir.mkdir(parents=True, exist_ok=True)
     # each subject is written as it is generated
     subjects = [write_recording(rec, out_dir) for rec in synth.iter_recordings(cfg)]
     manifest = write_json(out_dir / "manifest.json", {"label": label, "subjects": subjects})
@@ -152,16 +150,13 @@ def cmd_features(args: argparse.Namespace) -> _Written:
     scalograms: list[Path] = []
 
     def dump(window, tw) -> None:  # each window's scalogram, in the featurizing pass
-        path = scalogram_dir / f"{window.subject_id}_w{window.window_index:04d}.csv"
-        np.savetxt(path, tw.coefficients, delimiter=",", fmt="%.8g")
-        scalograms.append(path)
+        scalograms.append(scalogram_dir / f"{window.subject_id}_w{window.window_index:04d}.csv")
+        with atomic_output(scalograms[-1]) as fh:
+            np.savetxt(fh, tw.coefficients, delimiter=",", fmt="%.8g")
 
-    if scalogram_dir:
-        scalogram_dir.mkdir(parents=True, exist_ok=True)
     example_set = build_dataset(iter_recordings(manifest), cfg, dump if scalogram_dir else None)
     if not example_set.features:
         raise ConfigError(f"{args.manifest}: no subject holds a whole window; no features to write")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     header = "subject_id,window_index,day_offset,target_days," + ",".join(
         f"f_{i:03d}" for i in range(example_set.x.shape[1])
     )
@@ -170,7 +165,8 @@ def cmd_features(args: argparse.Namespace) -> _Written:
         f"{fv.subject_id},{fv.window_index},{fv.day_offset},{target:g}," + ",".join(map(repr, row))
         for fv, target, row in zip(example_set.features, example_set.y.tolist(), example_set.x.tolist())
     ]
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_output(out_path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
     print(out_path)
     return out_path.parent, cfg, [out_path, *scalograms]
 

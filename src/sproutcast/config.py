@@ -56,6 +56,7 @@ _BOUNDS = {
     "calibration_bin_width": _POSITIVE,
     "rolling_n": _at_least(1),
     "jobs": _at_least(1),
+    "seed": _at_least(0),
     # SynthConfig
     "n_subjects": _at_least(1),
     "days_min": _at_least(1),

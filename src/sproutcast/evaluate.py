@@ -19,7 +19,7 @@ import numpy as np
 from sproutcast.config import PipelineConfig
 from sproutcast.estimate import SubjectEstimate, WindowEstimate, aggregate, fallback_window, rolling_mean, window_estimates
 from sproutcast.features import ExampleSet
-from sproutcast.ingest import NUMBER, check_fields, is_json_type, write_json
+from sproutcast.ingest import NUMBER, atomic_output, check_fields, is_json_type, write_json
 from sproutcast.regress import fit_config
 
 
@@ -290,7 +290,6 @@ def write_curves(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
     presentation convention where sprouting lies -Y days ahead.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = {
         "esd_percentiles.csv": ("percentile,esd_days", [f"{pct:g},{val!r}" for pct, val in report.esd_percentiles]),
         "tlag.csv": ("t_lag,mean_esd_days,n_subjects", [
@@ -304,7 +303,8 @@ def write_curves(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
     }
     paths = [out_dir / name for name in tables]
     for path, (header, rows) in zip(paths, tables.values()):
-        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        with atomic_output(path) as fh:
+            fh.write(("\n".join([header, *rows]) + "\n").encode())
     return paths
 
 

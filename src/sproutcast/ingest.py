@@ -9,8 +9,8 @@ from each recording's start day.  Beside each CSV a binary sidecar
 caches its voltages, so a CSV is parsed at most once (see
 ``read_signal_csv``).
 
-Every JSON file the program reads (manifest, model, report) goes through
-``read_json`` and has its fields checked by ``check_fields``.
+Every JSON file the program reads goes through ``read_json`` and
+``check_fields``; every file it writes, through ``atomic_output``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -94,7 +94,9 @@ class Recording:
 
 
 def _check_metadata(subject_id: str, sample_rate_hz: float, start_day: date, sprouting_day: date | None) -> None:
-    """The checks of a Recording that need none of its samples."""
+    """The checks of a Recording that need none of its samples; an id names files, so must be a plain name."""
+    if not subject_id or any(c in "/\\," or c < " " for c in subject_id):
+        raise IngestError(f"subject {subject_id!r}: id must be non-empty, without '/', '\\', ',' or a control character")
     if not (sample_rate_hz > 0 and math.isfinite(sample_rate_hz)):
         raise IngestError(f"subject {subject_id!r}: sample_rate_hz must be positive and finite")
     if sprouting_day is not None and sprouting_day < start_day:
@@ -158,17 +160,33 @@ def read_json(path: str | Path):
         raise IngestError(f"{path}: invalid JSON ({exc})") from exc
 
 
+@contextlib.contextmanager
+def atomic_output(path: Path) -> Iterator[BinaryIO]:
+    """Yield a handle on a temp file beside ``path`` that replaces it when the block ends, and is deleted if the
+    block raises, even on an interrupt.  No fsync: it guards against an interrupted process, not a power cut."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, obj, indent: int | None = 2) -> Path:
     """Write ``obj`` as sorted-key standard JSON (no NaN or infinity) and a newline,
-    making its directory; ``indent=None`` is compact."""
+    through ``atomic_output``; ``indent=None`` is compact."""
     path = Path(path)
     separators = (",", ":") if indent is None else None
     try:
         text = json.dumps(obj, indent=indent, separators=separators, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # NaN or an infinity: not standard JSON
         raise ValueError(f"{path}: {exc}") from exc
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n", encoding="utf-8")
+    with atomic_output(path) as fh:
+        fh.write((text + "\n").encode())
     return path
 
 
@@ -250,17 +268,11 @@ def _read_sidecar(sidecar: Path, digest: bytes) -> np.ndarray | None:
 
 
 def _write_sidecar(sidecar: Path, digest: bytes, voltages: np.ndarray) -> None:
-    """Replace the sidecar atomically; a sidecar that cannot be written is left out."""
+    """Replace the sidecar whole; a sidecar that cannot be written (a read-only directory, say) is left out."""
     payload = np.ascontiguousarray(voltages, dtype="<f8")
-    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(_SIDECAR_MAGIC + digest + hashlib.sha256(payload).digest())
-            fh.write(memoryview(payload).cast("B"))
-        os.replace(tmp, sidecar)
-    except OSError:  # a read-only directory, a directory in the sidecar's place
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
+    with contextlib.suppress(OSError), atomic_output(sidecar) as fh:
+        fh.write(_SIDECAR_MAGIC + digest + hashlib.sha256(payload).digest())
+        fh.write(memoryview(payload).cast("B"))
 
 
 def _utf8_fault(path: Path) -> str:
@@ -460,7 +472,7 @@ def write_signal_csv(path: Path, samples: np.ndarray, sample_rate_hz: float) -> 
     header = (CSV_HEADER + "\n").encode()
     digest = hashlib.sha256(header)
     rows = np.empty((_CSV_CHUNK_ROWS, 2))
-    with path.open("wb") as fh:
+    with atomic_output(path) as fh:
         fh.write(header)
         for start in range(0, len(samples), _CSV_CHUNK_ROWS):
             chunk = rows[: len(samples) - start]

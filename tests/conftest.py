@@ -1,8 +1,10 @@
+import contextlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sproutcast import ingest
 from sproutcast.features import ExampleSet, FeatureVector
 from sproutcast.ingest import Recording, iter_recordings, load_manifest, write_json, write_recording
 from sproutcast.regress import RegressorSpec, TrainedModel
@@ -70,6 +72,32 @@ def constant_model(value, n_features=1):
         feature_layout_version="",
         n_features=n_features,
     )
+
+
+def interrupt_writes(monkeypatch, module):
+    """Make each output that ``module`` writes through ``atomic_output`` stop half-way
+    through its first write, as an interrupt (Ctrl-C) would."""
+    atomic_output = ingest.atomic_output
+
+    class Interrupted:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+    @contextlib.contextmanager
+    def interrupted(path):
+        with atomic_output(path) as fh:
+            yield Interrupted(fh)
+
+    monkeypatch.setattr(module, "atomic_output", interrupted)
+
+
+def temp_files(directory):
+    """The temp files left anywhere under ``directory``."""
+    return sorted(Path(directory).rglob("*.tmp"))
 
 
 @pytest.fixture

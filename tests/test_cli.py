@@ -19,7 +19,7 @@ from sproutcast.preprocess import condition, segment
 from sproutcast.synth import SynthConfig
 from sproutcast.wavelet import cwt, plan_scales
 
-from conftest import make_recording, read_corpus, write_corpus
+from conftest import interrupt_writes, make_recording, read_corpus, temp_files, write_corpus
 
 RATE = 1 / 96  # 900 samples per day: fast but still a real multi-stage pipeline
 
@@ -301,6 +301,13 @@ def test_non_integer_env_seed_exits_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error[3]: SPROUT_SEED must be an integer\n"
 
 
+def test_negative_env_seed_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPROUT_SEED", "-1")
+    code = main(["evaluate", "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    assert capsys.readouterr().err == "error[3]: seed must be at least 0, got -1\n"
+
+
 def test_predict_rejects_layout_mismatch(synth_dir, config_file, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     assert (
@@ -384,6 +391,12 @@ _MANIFEST_CORRUPTIONS = {
     "temp-is-text": (lambda m: _first_subject(m, storage_temp_c="warm"), "'p000': invalid storage_temp_c"),
     "temp-is-fractional": (lambda m: _first_subject(m, storage_temp_c=8.7), "'p000': invalid storage_temp_c"),
     "label-is-number": (lambda m: {**m, "label": 7}, "invalid label"),
+    # an id names the subject's files and is a cell of the features CSV
+    "id-is-empty": (lambda m: _first_subject(m, id=""), "subject '': id must"),
+    "id-climbs-directories": (lambda m: _first_subject(m, id="../../escaped"), "'../../escaped': id must"),
+    "id-has-backslash": (lambda m: _first_subject(m, id="a\\b"), "id must"),
+    "id-has-comma": (lambda m: _first_subject(m, id="a,b"), "'a,b': id must"),
+    "id-has-newline": (lambda m: _first_subject(m, id="a\nb"), "'a\\nb': id must"),
 }
 
 
@@ -586,6 +599,54 @@ def test_features_dump_scalogram(synth_dir, config_file, tmp_path):
     assert (first >= 0).all()
 
 
+def test_dump_scalogram_writes_nothing_outside_its_directory(synth_dir, config_file, tmp_path, capsys):
+    manifest = json.loads((synth_dir / "manifest.json").read_text())
+    bad = synth_dir / "escaping.json"
+    bad.write_text(json.dumps(_first_subject(manifest, id="../../escaped")))
+    out = tmp_path / "out"
+    before = set(tmp_path.rglob("*"))
+    code = main(
+        ["features", "--manifest", str(bad), "--out", str(out / "f.csv"), "--dump-scalogram", str(out / "scal"),
+         "--config", str(config_file)]
+    )
+    assert code == 3
+    assert "'../../escaped': id must" in capsys.readouterr().err
+    assert {p for p in tmp_path.rglob("*") if out not in p.parents} == before
+
+
+def test_interrupted_features_keeps_the_old_table(synth_dir, config_file, tmp_path, monkeypatch):
+    out = tmp_path / "f.csv"
+    out.write_bytes(b"an earlier table\n")
+    interrupt_writes(monkeypatch, cli)
+    with pytest.raises(KeyboardInterrupt):
+        main(["features", "--manifest", str(synth_dir / "manifest.json"), "--out", str(out), "--config", str(config_file)])
+    assert out.read_bytes() == b"an earlier table\n"
+    assert temp_files(tmp_path) == []
+
+
+def test_interrupted_preprocess_leaves_each_csv_old_or_new(synth_dir, config_file, monkeypatch):
+    argv = ["preprocess", "--manifest", str(synth_dir / "manifest.json"), "--config", str(config_file)]
+    assert main(argv) == 0
+    conditioned = [synth_dir / f"p00{i}.conditioned.csv" for i in range(2)]
+    first_run = [p.read_bytes() for p in conditioned]
+    starts = []
+    format_rows = ingest._format_rows
+
+    def second_csv_interrupted(rows):
+        starts.append(rows[0, 0] == 0.0)  # a CSV's first chunk starts at elapsed time 0
+        if sum(starts) == 2:
+            raise KeyboardInterrupt
+        return format_rows(rows)
+
+    monkeypatch.setattr(ingest, "_format_rows", second_csv_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert [p.read_bytes() for p in conditioned] == first_run
+    assert len(ingest.read_signal_csv(conditioned[0])) == first_run[0].count(b"\n") - 1  # whole
+    assert not (synth_dir / "manifest.conditioned.json").exists()
+    assert temp_files(synth_dir) == []
+
+
 @pytest.mark.parametrize(
     "section, option, value",
     [
@@ -612,6 +673,7 @@ def test_features_dump_scalogram(synth_dir, config_file, tmp_path):
         ("preprocess", "notch_hz", 0),
         ("preprocess", "notch_hz", -5),
         ("preprocess", "notch_hz", "nan"),
+        ("train", "seed", -1),
     ],
 )
 def test_config_lower_bounds_exit_3(section, option, value, tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sproutcast import evaluate, ingest
 from sproutcast.config import PipelineConfig
 from sproutcast.estimate import SubjectEstimate, WindowEstimate
 from sproutcast.evaluate import (
@@ -18,7 +19,7 @@ from sproutcast.evaluate import (
 )
 from sproutcast.features import build_dataset
 
-from conftest import make_recording
+from conftest import interrupt_writes, make_recording, temp_files
 
 RATE = 1 / 864  # 100 samples per day
 CFG = PipelineConfig(target_hz=RATE, scales=4, n_trees=15, max_depth=2, learning_rate=0.2, seed=0)
@@ -227,6 +228,21 @@ def test_write_curves_files(tmp_path):
     assert cal[0] == "y_hat_center,e_y,std_y,count,low_support"
     # display axis is negated: days-until become negative numbers
     assert all(float(line.split(",")[0]) <= 0 for line in cal[1:])
+
+
+def test_interrupted_report_or_curves_keep_the_old_files(tmp_path, monkeypatch):
+    old = compute_metrics([oracle_fold("s", 20)])
+    paths = [write_report(old, tmp_path / "r.json"), *write_curves(old, tmp_path / "curves")]
+    before = [p.read_bytes() for p in paths]
+    new = compute_metrics([manual_fold("a", 10, [1.0, 2.0]), manual_fold("b", 12, [3.0])])
+    interrupt_writes(monkeypatch, ingest)
+    interrupt_writes(monkeypatch, evaluate)
+    with pytest.raises(KeyboardInterrupt):
+        write_report(new, tmp_path / "r.json")
+    with pytest.raises(KeyboardInterrupt):
+        write_curves(new, tmp_path / "curves")
+    assert [p.read_bytes() for p in paths] == before
+    assert temp_files(tmp_path) == []
 
 
 def test_ensemble_strategy_smoke():

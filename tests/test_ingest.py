@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import tracemalloc
 from datetime import date
 
@@ -20,7 +21,7 @@ from sproutcast.ingest import (
     write_signal_csv,
 )
 
-from conftest import make_recording, read_corpus, write_corpus
+from conftest import interrupt_writes, make_recording, read_corpus, temp_files, write_corpus
 
 
 def write_manifest(tmp_path, subjects, label="ds"):
@@ -403,8 +404,12 @@ def test_directory_in_sidecar_place_never_fails_a_read(tmp_path):
 
 
 def test_unwritable_sidecar_never_fails_a_read(tmp_path, monkeypatch):
-    def refuse(*_):
-        raise PermissionError("read-only directory")
+    replace = os.replace
+
+    def refuse(src, dst):  # the CSV is written; only its sidecar is refused
+        if str(dst).endswith(".f8"):
+            raise PermissionError("read-only directory")
+        replace(src, dst)
 
     monkeypatch.setattr(ingest.os, "replace", refuse)
     samples = _edge_samples(100)
@@ -412,6 +417,39 @@ def test_unwritable_sidecar_never_fails_a_read(tmp_path, monkeypatch):
     write_signal_csv(path, samples, 1.0)
     assert read_signal_csv(path).tobytes() == samples.tobytes()
     assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+
+def test_interrupted_csv_rewrite_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    old = np.random.default_rng(0).normal(size=10_000)
+    write_signal_csv(path, old, 1.0)
+    old_bytes, old_sidecar = path.read_bytes(), _sidecar(path).read_bytes()
+    chunks = []
+    format_rows = ingest._format_rows
+
+    def third_chunk_interrupted(rows):
+        chunks.append(len(rows))
+        if len(chunks) == 3:
+            raise KeyboardInterrupt
+        return format_rows(rows)
+
+    monkeypatch.setattr(ingest, "_format_rows", third_chunk_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_signal_csv(path, old[::-1].copy(), 1.0)
+    assert path.read_bytes() == old_bytes and _sidecar(path).read_bytes() == old_sidecar
+    assert read_signal_csv(path).tobytes() == old.tobytes()
+    assert temp_files(tmp_path) == []
+
+
+def test_interrupted_sidecar_write_keeps_the_old_sidecar(tmp_path, monkeypatch):
+    write_signal_csv(tmp_path / "s.csv", _edge_samples(100), 1.0)
+    sidecar = _sidecar(tmp_path / "s.csv")
+    old = sidecar.read_bytes()
+    interrupt_writes(monkeypatch, ingest)
+    with pytest.raises(KeyboardInterrupt):
+        ingest._write_sidecar(sidecar, bytes(32), _edge_samples(50))
+    assert sidecar.read_bytes() == old
+    assert temp_files(tmp_path) == []
 
 
 @pytest.mark.parametrize(
