@@ -4,12 +4,16 @@ The regressor is self-contained: squared-error boosting over depth-limited
 CART trees with exact greedy split search (sorted unique values, midpoint
 thresholds, ties broken toward the lowest feature index).  Each fit sorts
 every feature column that is not constant once, stably, so rows with equal
-values are ordered by row index; nodes gather their children's rows in that
-order and never sort again.  Leaf values reach the training predictions as
-the leaves are made, and a model predicts by walking all of its trees at
-once.  Everything is deterministic given the RegressorSpec seed, and a
-trained model serializes to a single self-describing JSON file that
-reloads bit-identically.
+values are ordered by row index, and drops each column that sorts like an
+earlier one without splitting any of its ties.  A node is only its rows in
+each column's order: its children gather theirs in that order and never
+sort again, and the values are read from the examples where a tie or a
+threshold needs them.  A threshold always lies below the next value, so
+``x <= threshold`` sends exactly the rows before it left.  Leaf values
+reach the training predictions as the leaves are made, and a model
+predicts by walking all of its trees at once.  Everything is deterministic
+given the RegressorSpec seed, and a trained model serializes to a single
+self-describing JSON file that reloads bit-identically.
 """
 
 from __future__ import annotations
@@ -84,54 +88,88 @@ class Ensemble:
     n_features: int
 
 
-# a node's rows in each column's sorted order, and the values there
-_Block = tuple[np.ndarray, np.ndarray]
+# a node's rows in each searched column's sorted order, as one flat (F, n_node) array
+_Block = np.ndarray
 # a child's ascending rows, its block (None when it will not search) and its held-out rows
 _Child = tuple[np.ndarray, _Block | None, np.ndarray]
 
 
+def _undominated(presort: np.ndarray, ties: np.ndarray) -> list[int]:
+    """The columns that no earlier column dominates, ascending.
+
+    Column j is dominated by an earlier column i when both sort to the same
+    stable order and j ties wherever i does.  At every node j's rows then come
+    in i's order, so j has i's cumulative sums and at least i's blocked
+    candidates: it can at best tie i, and the argmax already picks i.
+    """
+    keep: list[int] = []
+    kept_by_order: dict[bytes, list[int]] = {}
+    for j, order in enumerate(presort):
+        kept = kept_by_order.setdefault(order.tobytes(), [])
+        # ties[j] >= ties[i]: every tie of i is a tie of j
+        if not any((ties[j] >= ties[i]).all() for i in kept):
+            kept.append(j)
+            keep.append(j)
+    return keep
+
+
 class _SplitSearch:
-    """Exact greedy split search over column blocks presorted once per fit.
+    """Exact greedy split search over row orders presorted once per fit.
 
     Columns that are constant over the fit's rows are left out: every
     candidate in one is blocked, so it could never win.  Every other column
     is argsorted once, stably, so a node's rows appear in each column
-    ordered by (value, row index).  A node keeps that order, and the values
-    in it, as a block of two flat (F, n_node) arrays; its children gather
-    theirs from the parent's block at the positions of their rows, which
-    keeps every column sorted without another sort.  Nodes write their
-    results into buffers allocated here, sized (F, n); block and row
+    ordered by (value, row index); columns dominated by an earlier one (see
+    ``_undominated``) are left out too.  A node keeps only that order, as one
+    flat (F, n_node) block of rows; its children gather theirs from the
+    parent's block at the positions of their rows, which keeps every column
+    sorted without another sort.  Values are read from ``x`` only where they
+    are needed: to block the candidates between equal values, which only the
+    few columns holding a tie have, and only when one of those scores best;
+    and to place the chosen threshold.  Nodes write
+    their results into buffers allocated here, sized (F, n); block and row
     buffers come one per depth level, so a node's block survives while its
-    left subtree is grown.  Each leaf writes its value into ``fitted`` at
-    its in-sample rows and at the held-out rows routed down to it, so a
-    grown tree's training predictions need no walk.
+    left subtree is grown.  Each leaf writes its value into ``fitted`` at its
+    in-sample rows and at the held-out rows routed down to it, so a grown
+    tree's training predictions need no walk.
     """
 
     def __init__(self, x: np.ndarray, spec: RegressorSpec):
         n = len(x)
         self.spec = spec
         self.x = x
+        min_rows = max(2, 2 * spec.min_samples_leaf)
+        # a fit of fewer rows than a split needs searches no column
+        varying = np.flatnonzero(x.max(axis=0) > x.min(axis=0)) if n >= min_rows else np.arange(0)
+        live = x.T[varying]
+        presort = np.argsort(live, axis=1, kind="stable")
+        # ties[j, p]: rows p and p + 1 of column j's order share a value; in
+        # sorted order <= means ==, and -0.0 ties 0.0
+        sorted_values = np.take_along_axis(live, presort, axis=1)
+        ties = sorted_values[:, 1:] <= sorted_values[:, :-1]
+        keep = _undominated(presort, ties)
         # the original index of each searched column, ascending
-        self.columns = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
+        self.columns = varying[keep]
+        self.presort = presort[keep]
         n_features = self.n_features = len(self.columns)
+        # which searched columns hold a tie, and those columns' values by row
+        self.tied_column = ties[keep].any(axis=1)
+        self.tied = np.flatnonzero(self.tied_column)
+        self.tied_x = x.T[self.columns[self.tied]]
         # with no column to search, every node is a leaf
-        self.min_rows = max(2, 2 * spec.min_samples_leaf) if n_features else n + 1
-        live = x.T[self.columns]
-        self.presort = np.argsort(live, axis=1, kind="stable")
-        self.sorted_values = np.take_along_axis(live, self.presort, axis=1)
+        self.min_rows = min_rows if n_features else n + 1
         self.residual = np.empty(n)
         self.fitted = np.empty(n)
         size = n_features * n
         # level d holds the blocks of the nodes at depth d, and the
         # ascending row lists of the nodes at depth d + 1
         self.orders = [np.empty(size, dtype=np.intp) for _ in range(spec.max_depth)]
-        self.values = [np.empty(size) for _ in range(spec.max_depth)]
         self.rows = [np.empty(n, dtype=np.intp) for _ in range(spec.max_depth)]
         # leaf_value takes up to n residuals from sums
         self.sums = np.empty(max(size, n))
         self.cumsum = np.empty(size)
         self.score = np.empty(size)
-        self.blocked = np.empty(size, dtype=bool)
+        self.mask = np.empty(size, dtype=bool)
         self.in_left = np.empty(n, dtype=bool)
         self.n_left = np.arange(1, n, dtype=np.float64)
 
@@ -141,12 +179,7 @@ class _SplitSearch:
     def _select(self, mask: np.ndarray, block: _Block, depth: int, start: int, stop: int) -> _Block:
         """Gather ``block`` where ``mask`` holds into rows [start, stop) of level ``depth``."""
         span = slice(self.n_features * start, self.n_features * stop)
-        at = np.flatnonzero(mask)
-        order, values = block
-        return (
-            order.take(at, out=self.orders[depth][span]),
-            values.take(at, out=self.values[depth][span]),
-        )
+        return block.compress(mask, out=self.orders[depth][span])
 
     def root(self, rows: np.ndarray) -> _Block | None:
         """Block of a tree grown on ``rows`` (ascending), or None when the root will not search."""
@@ -156,25 +189,30 @@ class _SplitSearch:
         in_sample[:] = False
         in_sample[rows] = True
         order = self.presort.ravel()
-        mask = in_sample.take(order, out=self.blocked)
-        return self._select(mask, (order, self.sorted_values.ravel()), 0, 0, len(rows))
+        mask = in_sample.take(order, out=self.mask)
+        return self._select(mask, order, 0, 0, len(rows))
+
+    def _value(self, order: np.ndarray, f: int, pos: int) -> float:
+        """The value of searched column f at position pos of the node's order, as a Python float."""
+        return float(self.x[order[f, pos], self.columns[f]])
 
     def leaf_value(self, rows: np.ndarray) -> float:
         r = self.residual.take(rows, out=self.sums[: len(rows)])
         # the sum and the division of r.mean(), without its call overhead
         return float(np.add.reduce(r) / len(r))
 
-    def best_split(self, block: _Block, n: int) -> tuple[int, float] | None:
+    def best_split(self, block: _Block, n: int) -> tuple[int, float, int] | None:
         """Maximize sum_left^2/n_left + sum_right^2/n_right over the node's rows.
 
         That is the SSE reduction up to the parent's constant.  Candidates
         sit between consecutive distinct values with both children >=
         min_samples_leaf; ties go to the lowest feature index, then the
-        smallest threshold.  The feature is returned as its column of x.
+        smallest threshold.  Returns the feature as its column of x, the
+        threshold, and the number of the node's rows at or below it.
         """
         nf = self.n_features
         msl = self.spec.min_samples_leaf
-        order, xs = (a.reshape(nf, n) for a in block)
+        order = block.reshape(nf, n)
         # candidate positions: the left child takes pos + 1 rows, msl to n - msl
         lo, hi = msl - 1, n - msl
         k = hi - lo
@@ -190,39 +228,49 @@ class _SplitSearch:
         score = np.square(sum_left, out=self.score[: nf * k].reshape(nf, k))
         np.divide(score, n_left, out=score)
         np.add(score, right, out=score)
-        blocked = np.less_equal(xs[:, lo + 1 : hi + 1], xs[:, lo:hi], out=self.blocked[: nf * k].reshape(nf, k))
-        np.copyto(score, -np.inf, where=blocked)
         # the (F, k) block is feature-major, so argmax tie-breaks toward the
         # lowest feature index, then the smallest threshold
         f, pos = divmod(int(score.argmax()), k)
+        # blocked candidates, between equal values, sit only in tied columns;
+        # a first maximum that is not blocked stays the first once they are
+        # set to -inf, so they are masked only when it is blocked
+        if self.tied_column[f] and self._value(order, f, lo + pos + 1) <= self._value(order, f, lo + pos):
+            tied = self.tied
+            xs = np.take_along_axis(self.tied_x, order[tied], axis=1)
+            blocked = xs[:, lo + 1 : hi + 1] <= xs[:, lo:hi]
+            score[tied] = np.where(blocked, -np.inf, score[tied])
+            f, pos = divmod(int(score.argmax()), k)
         best_score = score[f, pos]
         if not np.isfinite(best_score):
             return None
         if not best_score > csum[f, -1] ** 2 / n:
             return None
         pos += lo
-        return int(self.columns[f]), 0.5 * (xs[f, pos] + xs[f, pos + 1])
+        below, above = self._value(order, f, pos), self._value(order, f, pos + 1)
+        # the midpoint can round up to the value above between adjacent
+        # doubles, or overflow (a Python float does so without a warning)
+        thr = 0.5 * (below + above)
+        return int(self.columns[f]), thr if thr < above else below, pos + 1
 
     def partition(
-        self, depth: int, rows: np.ndarray, block: _Block, held: np.ndarray, f: int, thr: float
+        self, depth: int, rows: np.ndarray, block: _Block, held: np.ndarray, f: int, thr: float, n_left: int
     ) -> tuple[_Child, _Child]:
-        """Split a node's rows and its held-out rows at x[:, f] <= thr: the left child, then the right."""
+        """Split a node's rows and its held-out rows at x[:, f] <= thr, which
+        holds for the first ``n_left`` rows of f's order: the left child, then the right."""
         n = len(rows)
-        order, values = block
         j = int(self.columns.searchsorted(f))
-        column = slice(j * n, (j + 1) * n)
-        n_left = int(values[column].searchsorted(thr, side="right"))
-        self.in_left[order[column][:n_left]] = True
-        self.in_left[order[column][n_left:]] = False
+        column = block[j * n : (j + 1) * n]
+        self.in_left[column[:n_left]] = True
+        self.in_left[column[n_left:]] = False
         child_rows = self.rows[depth]
-        row_mask = self.in_left.take(rows, out=self.blocked[:n])
+        row_mask = self.in_left.take(rows, out=self.mask[:n])
         rows.compress(row_mask, out=child_rows[:n_left])
         np.logical_not(row_mask, out=row_mask)
         rows.compress(row_mask, out=child_rows[n_left:n])
         blocks = [None, None]
         searching = (self.searches(depth + 1, n_left), self.searches(depth + 1, n - n_left))
         if any(searching):
-            mask = self.in_left.take(order, out=self.blocked[: len(order)])
+            mask = self.in_left.take(block, out=self.mask[: len(block)])
             if searching[0]:
                 blocks[0] = self._select(mask, block, depth + 1, 0, n_left)
             if searching[1]:
@@ -247,8 +295,8 @@ class _SplitSearch:
             self.fitted[held] = value
             nodes[node] = (-1, 0.0, -1, -1, value)
             return node
-        f, thr = split
-        left, right = self.partition(depth, rows, block, held, f, thr)
+        f, thr, _ = split
+        left, right = self.partition(depth, rows, block, held, *split)
         nodes[node] = (f, thr, self.grow(nodes, *left, depth + 1), self.grow(nodes, *right, depth + 1), 0.0)
         return node
 

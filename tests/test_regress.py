@@ -283,7 +283,10 @@ def reference_best_split(x, r, msl):
     f, pos = divmod(best, n - 1)
     if not best_score > total[f] ** 2 / n:
         return None
-    return f, 0.5 * (xs[pos, f] + xs[pos + 1, f])
+    below, above = float(xs[pos, f]), float(xs[pos + 1, f])
+    # the midpoint can round up to the value above between adjacent doubles, or overflow
+    thr = 0.5 * (below + above)
+    return f, thr if thr < above else below
 
 
 def reference_grow(x, r, spec, nodes, depth=0):
@@ -356,14 +359,23 @@ def test_presorted_split_matches_reference(problem):
     search.residual[:] = r
     block = search.root(rows)
     picked = None if block is None else search.best_split(block, len(rows))
-    assert picked == reference_best_split(x[rows], r[rows], msl)
+    expected = reference_best_split(x[rows], r[rows], msl)
+    if picked is None or expected is None:
+        assert picked == expected
+        return
+    f, thr, n_left = picked
+    assert (f, thr) == expected
+    assert n_left == (x[rows, f] <= thr).sum()
 
 
-def assert_trees_match_reference(x, y, subsample, min_samples_leaf):
-    spec = RegressorSpec(
+def tree_spec(subsample, min_samples_leaf):
+    return RegressorSpec(
         n_trees=12, max_depth=3, learning_rate=0.3, min_samples_leaf=min_samples_leaf,
         subsample=subsample, seed=8,
     )
+
+
+def assert_trees_match_reference(x, y, spec):
     model = fit_arrays(x, y, spec)
     expected = reference_trees(x, y, spec)
     assert len(model.trees) == len(expected)
@@ -385,7 +397,7 @@ def tied_problem():
 @pytest.mark.parametrize("subsample", [0.7, 1.0])
 @pytest.mark.parametrize("min_samples_leaf", [1, 4])
 def test_fit_trees_match_reference_grow(subsample, min_samples_leaf):
-    assert_trees_match_reference(*tied_problem(), subsample, min_samples_leaf)
+    assert_trees_match_reference(*tied_problem(), tree_spec(subsample, min_samples_leaf))
 
 
 @pytest.mark.parametrize("subsample", [0.7, 1.0])
@@ -393,9 +405,9 @@ def test_fit_trees_match_reference_grow(subsample, min_samples_leaf):
 def test_fit_trees_match_reference_grow_with_constant_columns(subsample, min_samples_leaf):
     x, y = tied_problem()
     x[:, 0] = -1.0  # a constant column before every searched one
-    assert_trees_match_reference(x, y, subsample, min_samples_leaf)
+    assert_trees_match_reference(x, y, tree_spec(subsample, min_samples_leaf))
     # nothing to search: every tree is one leaf
-    model = assert_trees_match_reference(np.full_like(x, 0.5), y, subsample, min_samples_leaf)
+    model = assert_trees_match_reference(np.full_like(x, 0.5), y, tree_spec(subsample, min_samples_leaf))
     assert all(len(tree.feature) == 1 for tree in model.trees)
 
 
@@ -405,7 +417,63 @@ def test_held_out_rows_on_a_threshold_go_left():
     rng = np.random.default_rng(5)
     x = rng.choice([0.0, 0.5, 1.0], size=(60, 2))
     y = 4 * x[:, 0] - x[:, 1] + rng.normal(scale=0.1, size=60)
-    assert_trees_match_reference(x, y, 0.5, 1)
+    assert_trees_match_reference(x, y, tree_spec(0.5, 1))
+
+
+# 0.5 * (a + b) is not below b: it rounds up to b between adjacent doubles,
+# and overflows to inf near the top of the range
+@pytest.mark.parametrize("a, b", [(1 + 2.0**-52, 1 + 2.0**-51), (1e308, 1.7e308)])
+def test_threshold_between_close_or_huge_doubles_splits_them(a, b):
+    assert not 0.5 * (a + b) < b
+    x = np.array([[a]] * 6 + [[b]] * 6)
+    y = np.array([0.0] * 6 + [10.0] * 6)
+    spec = RegressorSpec(n_trees=1, max_depth=1, learning_rate=1.0, min_samples_leaf=1, subsample=1.0, seed=0)
+    model = assert_trees_match_reference(x, y, spec)
+    assert model.trees[0].threshold[0] == a
+    assert predict_matrix(model, x).tolist() == y.tolist()
+    assert json.loads(json.dumps(_to_dict(model), allow_nan=False))
+
+
+@pytest.mark.parametrize("subsample", [0.7, 1.0])
+@pytest.mark.parametrize("min_samples_leaf", [1, 4])
+def test_columns_that_sort_like_an_earlier_one(subsample, min_samples_leaf):
+    rng = np.random.default_rng(23)
+    n = 90
+    energy = rng.uniform(0.5, 4.0, n)
+    tied = rng.integers(0, 3, n).astype(float)
+    # rms is a strictly increasing function of energy: same order, same ties
+    rms = np.sqrt(energy)
+    # the same stable order as the tied column, but no ties: splits inside
+    # its groups are open to this column alone
+    spread = tied + 1e-9 * np.arange(n)
+    x = np.column_stack([energy, tied, rms, spread])
+    y = 3 * tied + 5 * (np.arange(n) >= n // 2) + rng.normal(scale=0.1, size=n)
+    search = _SplitSearch(x, RegressorSpec(min_samples_leaf=min_samples_leaf))
+    assert search.columns.tolist() == [0, 1, 3]
+    model = assert_trees_match_reference(x, y, tree_spec(subsample, min_samples_leaf))
+    used = np.concatenate([tree.feature for tree in model.trees])
+    assert 3 in used and 2 not in used
+
+
+@pytest.mark.parametrize("subsample", [0.7, 1.0])
+@pytest.mark.parametrize("min_samples_leaf", [1, 4])
+def test_tie_mask_blocks_signed_zeros_and_repeated_values(subsample, min_samples_leaf):
+    rng = np.random.default_rng(29)
+    n = 60
+    perm = rng.permutation(n)
+    # one value per row but for -0.0 and 0.0, which tie; the -0.0 row comes first
+    x0 = np.empty(n)
+    x0[perm] = np.arange(n) - n // 2.0
+    minus, plus = sorted(perm[n // 2 - 1 : n // 2 + 1])
+    x0[minus], x0[plus] = -0.0, 0.0
+    many = rng.integers(0, 4, n).astype(float)
+    x = np.column_stack([x0, many])
+    # the best cut without the mask falls between -0.0 and 0.0, or inside a group of many
+    y = 10.0 * ((x0 > 0) | (np.arange(n) == plus)) + 2 * many + rng.normal(scale=0.5, size=n)
+    search = _SplitSearch(x, RegressorSpec(min_samples_leaf=min_samples_leaf))
+    assert search.tied.tolist() == [0, 1]
+    model = assert_trees_match_reference(x, y, tree_spec(subsample, min_samples_leaf))
+    assert 0.0 not in np.concatenate([tree.threshold[tree.feature == 0] for tree in model.trees])
 
 
 # ---------------------------------------------------------------- the walk
