@@ -213,12 +213,11 @@ def cmd_predict(args: argparse.Namespace) -> _Written:
             }
         )
         del rec  # the next subject is read without this one beside it
+    # --out is written first, so a reader that closes stdout early cannot lose it
+    out_path = None if out is None else write_json(out, results)
     for row in results:
         print(json.dumps(row, sort_keys=True))
-    if out is None:
-        return None
-    out_path = write_json(out, results)
-    return out_path.parent, cfg, [out_path]
+    return None if out_path is None else (out_path.parent, cfg, [out_path])
 
 
 def cmd_evaluate(args: argparse.Namespace) -> _Written:
@@ -330,11 +329,16 @@ def main(argv: list[str] | None = None) -> int:
         written = args.func(args)
         if written is not None:
             _write_run_meta(args.command, argv, *written)
+        # a reader that closed stdout early fails here, as one error line, not at interpreter exit
+        sys.stdout.flush()
         return 0
     except FileNotFoundError as exc:
         print(f"error[{EXIT_MISSING}]: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (ConfigError, IngestError, ValueError, OSError) as exc:  # an OSError from a write names its path
+        if isinstance(exc, BrokenPipeError):
+            # drop stdout, so the interpreter's final flush does not fail again on what it still buffers
+            sys.stdout = None
         print(f"error[{EXIT_CONFIG}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:  # numpy's names the array it could not allocate

@@ -548,21 +548,13 @@ def load_manifest(manifest_path: str | Path, labelled: bool = False) -> Manifest
     return Manifest(manifest_path, label, manifest["subjects"], recording_fields, signal_paths)
 
 
-def _read_recording(manifest: Manifest, index: int) -> Recording:
-    samples = read_signal_csv(manifest.signal_paths[index])
-    try:
-        return Recording(samples=samples, **manifest.fields[index])
-    except IngestError as exc:
-        raise IngestError(f"{manifest.path}: {exc}") from exc
-
-
 def iter_recordings(manifest: Manifest) -> Iterator[Recording]:
     """Read the manifest's signal CSVs one at a time, in manifest order, and
     yield each subject's Recording; a fault in a CSV's content is found when
     that CSV is read."""
-    for index in range(len(manifest.fields)):
-        # built in a call, so the suspended generator holds no samples
-        yield _read_recording(manifest, index)
+    for path, fields in zip(manifest.signal_paths, manifest.fields):
+        # built in one expression, so the suspended generator holds no samples
+        yield Recording(samples=read_signal_csv(path), **fields)
 
 
 def write_recording(rec: Recording, out_dir: Path) -> dict:

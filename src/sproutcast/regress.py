@@ -26,7 +26,7 @@ import numpy as np
 
 from sproutcast.config import PipelineConfig, check_bounds
 from sproutcast.features import ExampleSet, FeatureVector
-from sproutcast.ingest import NUMBER, check_fields, read_json, write_json
+from sproutcast.ingest import NUMBER, check_fields, is_json_type, read_json, write_json
 
 # two-sided 95% Student-t critical value, 9 degrees of freedom
 T_CRIT_975_DF9 = 2.262
@@ -126,12 +126,12 @@ class _SplitSearch:
     sorted without another sort.  Values are read from ``x`` only where they
     are needed: to block the candidates between equal values, which only the
     few columns holding a tie have, and only when one of those scores best;
-    and to place the chosen threshold.  Nodes write
-    their results into buffers allocated here, sized (F, n); block and row
-    buffers come one per depth level, so a node's block survives while its
-    left subtree is grown.  Each leaf writes its value into ``fitted`` at its
-    in-sample rows and at the held-out rows routed down to it, so a grown
-    tree's training predictions need no walk.
+    and to place the chosen threshold.  Each node allocates the arrays it
+    reads and writes, and a node's block lives while its subtrees grow, so a
+    fit holds the presort and at most one set of blocks per level the tree
+    reaches; nothing is sized by ``max_depth``.  Each leaf writes its value
+    into ``fitted`` at its in-sample rows and at the held-out rows routed
+    down to it, so a grown tree's training predictions need no walk.
     """
 
     def __init__(self, x: np.ndarray, spec: RegressorSpec):
@@ -160,26 +160,11 @@ class _SplitSearch:
         self.min_rows = min_rows if n_features else n + 1
         self.residual = np.empty(n)
         self.fitted = np.empty(n)
-        size = n_features * n
-        # level d holds the blocks of the nodes at depth d, and the
-        # ascending row lists of the nodes at depth d + 1
-        self.orders = [np.empty(size, dtype=np.intp) for _ in range(spec.max_depth)]
-        self.rows = [np.empty(n, dtype=np.intp) for _ in range(spec.max_depth)]
-        # leaf_value takes up to n residuals from sums
-        self.sums = np.empty(max(size, n))
-        self.cumsum = np.empty(size)
-        self.score = np.empty(size)
-        self.mask = np.empty(size, dtype=bool)
         self.in_left = np.empty(n, dtype=bool)
         self.n_left = np.arange(1, n, dtype=np.float64)
 
     def searches(self, depth: int, n_rows: int) -> bool:
         return depth < self.spec.max_depth and n_rows >= self.min_rows
-
-    def _select(self, mask: np.ndarray, block: _Block, depth: int, start: int, stop: int) -> _Block:
-        """Gather ``block`` where ``mask`` holds into rows [start, stop) of level ``depth``."""
-        span = slice(self.n_features * start, self.n_features * stop)
-        return block.compress(mask, out=self.orders[depth][span])
 
     def root(self, rows: np.ndarray) -> _Block | None:
         """Block of a tree grown on ``rows`` (ascending), or None when the root will not search."""
@@ -189,15 +174,14 @@ class _SplitSearch:
         in_sample[:] = False
         in_sample[rows] = True
         order = self.presort.ravel()
-        mask = in_sample.take(order, out=self.mask)
-        return self._select(mask, order, 0, 0, len(rows))
+        return order.compress(in_sample.take(order))
 
     def _value(self, order: np.ndarray, f: int, pos: int) -> float:
         """The value of searched column f at position pos of the node's order, as a Python float."""
         return float(self.x[order[f, pos], self.columns[f]])
 
     def leaf_value(self, rows: np.ndarray) -> float:
-        r = self.residual.take(rows, out=self.sums[: len(rows)])
+        r = self.residual.take(rows)
         # the sum and the division of r.mean(), without its call overhead
         return float(np.add.reduce(r) / len(r))
 
@@ -216,16 +200,17 @@ class _SplitSearch:
         # candidate positions: the left child takes pos + 1 rows, msl to n - msl
         lo, hi = msl - 1, n - msl
         k = hi - lo
-        rs = self.residual.take(order, out=self.sums[: nf * n].reshape(nf, n))
-        csum = rs.cumsum(axis=1, out=self.cumsum[: nf * n].reshape(nf, n))
+        # each (F, n) or (F, k) array is fresh, and is then worked on in place
+        csum = self.residual.take(order)
+        np.cumsum(csum, axis=1, out=csum)
         sum_left = csum[:, lo:hi]
         n_left = self.n_left[lo:hi]
         # n - n_left, as the same counts run the other way
         n_right = n_left[::-1]
-        right = np.subtract(csum[:, -1:], sum_left, out=self.sums[: nf * k].reshape(nf, k))
+        right = np.subtract(csum[:, -1:], sum_left)
         np.square(right, out=right)
         np.divide(right, n_right, out=right)
-        score = np.square(sum_left, out=self.score[: nf * k].reshape(nf, k))
+        score = np.square(sum_left)
         np.divide(score, n_left, out=score)
         np.add(score, right, out=score)
         # the (F, k) block is feature-major, so argmax tie-breaks toward the
@@ -262,24 +247,19 @@ class _SplitSearch:
         column = block[j * n : (j + 1) * n]
         self.in_left[column[:n_left]] = True
         self.in_left[column[n_left:]] = False
-        child_rows = self.rows[depth]
-        row_mask = self.in_left.take(rows, out=self.mask[:n])
-        rows.compress(row_mask, out=child_rows[:n_left])
-        np.logical_not(row_mask, out=row_mask)
-        rows.compress(row_mask, out=child_rows[n_left:n])
+        row_mask = self.in_left.take(rows)
         blocks = [None, None]
         searching = (self.searches(depth + 1, n_left), self.searches(depth + 1, n - n_left))
         if any(searching):
-            mask = self.in_left.take(block, out=self.mask[: len(block)])
+            mask = self.in_left.take(block)
             if searching[0]:
-                blocks[0] = self._select(mask, block, depth + 1, 0, n_left)
+                blocks[0] = block.compress(mask)
             if searching[1]:
-                np.logical_not(mask, out=mask)
-                blocks[1] = self._select(mask, block, depth + 1, n_left, n)
+                blocks[1] = block.compress(~mask)
         held_left = self.x[held, f] <= thr
         return (
-            (child_rows[:n_left], blocks[0], held[held_left]),
-            (child_rows[n_left:n], blocks[1], held[~held_left]),
+            (rows.compress(row_mask), blocks[0], held[held_left]),
+            (rows.compress(~row_mask), blocks[1], held[~held_left]),
         )
 
     def grow(
@@ -499,8 +479,11 @@ def _tree_from_dict(d: dict, n_features: int, where: str) -> Tree:
     parent's; checking that keeps a corrupt file from looping forever.
     """
     check_fields(d, dict.fromkeys(_TREE_ARRAYS, list), where)
-    if not all(type(v) is int for name, dtype in _TREE_ARRAYS.items() if dtype is np.int32 for v in d[name]):
-        raise ValueError(f"{where}: an integer tree array holds a value that is not an integer")
+    for name, dtype in _TREE_ARRAYS.items():
+        # np.asarray would read 1.5 as the integer 1, and null, true or "0.5" as a float
+        types = (int,) if dtype is np.int32 else NUMBER
+        if not all(is_json_type(v, types) for v in d[name]):
+            raise ValueError(f"{where}: {name} holds an item that is not {' or '.join(t.__name__ for t in types)}")
     try:
         tree = Tree(**{name: np.asarray(d[name], dtype=dtype) for name, dtype in _TREE_ARRAYS.items()})
     except (TypeError, ValueError, OverflowError) as exc:

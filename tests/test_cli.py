@@ -1,5 +1,7 @@
 import argparse
 import dataclasses
+import errno
+import io
 import json
 import os
 import shutil
@@ -921,6 +923,12 @@ def _corrupt(case, payload):
         tree["feature"][0] += 0.5  # would load as the integer below it
     elif case == "leaf-is-nan":
         tree["value"] = [float("nan")] * len(tree["value"])
+    elif case == "threshold-is-null":
+        tree["threshold"][0] = None  # would load as NaN
+    elif case == "leaf-is-true":
+        tree["value"][-1] = True  # would load as 1.0
+    elif case == "threshold-is-string":
+        tree["threshold"][0] = "0.5"  # would load as 0.5
     elif case == "format-version-2":
         payload["format_version"] = 2
     elif case == "unknown-kind":
@@ -938,7 +946,8 @@ def _corrupt(case, payload):
     "case",
     ["missing-kind", "missing-spec", "missing-trees", "missing-tree-key", "unequal-lengths",
      "child-out-of-range", "child-loops-back", "feature-out-of-range", "feature-is-fractional",
-     "leaf-is-nan", "member-layout-differs", "member-width-differs", "format-version-2", "unknown-kind"],
+     "leaf-is-nan", "threshold-is-null", "leaf-is-true", "threshold-is-string",
+     "member-layout-differs", "member-width-differs", "format-version-2", "unknown-kind"],
 )
 def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsys):
     flags, payload = model_payload
@@ -952,6 +961,40 @@ def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsy
     assert err.startswith(f"error[3]: {path}")
     if case.startswith("member-"):
         assert err.startswith(f"error[3]: {path}: member 1: ")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has exited: unbuffered, a write raises EPIPE; buffered, the flush does."""
+
+    def __init__(self, fails_on: str):
+        super().__init__()
+        self.fails_on = fails_on
+
+    def _check(self, call: str) -> None:
+        if call == self.fails_on:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def write(self, s):
+        self._check("write")
+        return super().write(s)
+
+    def flush(self):
+        self._check("flush")
+
+
+@pytest.mark.parametrize("fails_on", ["write", "flush"])
+def test_predict_out_survives_a_closed_stdout(fails_on, model_payload, tmp_path, capsys, monkeypatch):
+    flags, payload = model_payload
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "p.json"
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(fails_on))
+    code = main(["predict", "--model", str(model), *flags, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error[3]: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+    assert len(json.loads(out.read_text())) == 3
+    # the interpreter's own final flush has nothing left to fail on
+    assert sys.stdout is None
 
 
 @pytest.mark.parametrize("case", ["ensemble-without-uq-th", "subject-shorter-than-a-window"])

@@ -21,6 +21,9 @@ GOLDEN_REPORTS = {
 }
 # sha256 of the model file written by `train --strategy single`
 GOLDEN_MODEL_SHA256 = "25dcdc5e6d0bd28172a35de61e270ef5796a4c78a0d826a539fe23eb2c346a02"
+# ... and by `train --strategy ensemble --uq-th 8`, whose members each fit a
+# few rows: a split-search path the single model does not reach
+GOLDEN_ENSEMBLE_MODEL_SHA256 = "5573d49d5ad87db84d5012dceaf6abbe6aca2f5e4e3e42da739173496c190640"
 # sha256 of each file of the corpus `synth` writes: a change to the CSV
 # writer or its sidecar shows here even if the reader changed with it
 GOLDEN_CORPUS_SHA256 = {
@@ -71,3 +74,10 @@ def test_golden_model_file(golden_corpus):
     model = base / "model.json"
     assert main(["train", "--model-out", str(model), *flags]) == 0
     assert hashlib.sha256(model.read_bytes()).hexdigest() == GOLDEN_MODEL_SHA256
+
+
+def test_golden_ensemble_model_file(golden_corpus):
+    base, flags = golden_corpus
+    model = base / "ensemble_model.json"
+    assert main(["train", "--model-out", str(model), "--strategy", "ensemble", "--uq-th", "8", *flags]) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == GOLDEN_ENSEMBLE_MODEL_SHA256

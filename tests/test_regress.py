@@ -566,3 +566,17 @@ def test_ensemble_predict_walks_one_member_at_a_time(rng):
     whole = _peak_bytes(lambda: ensemble_predict_matrix(ens, rows))
     block = len(ens.members) * len(rows) * 8
     assert whole <= 1.5 * (member + block)
+
+
+def test_fit_memory_does_not_grow_with_max_depth(rng):
+    # these trees stop growing before depth 40, so a deeper limit may cost no memory
+    x = rng.normal(size=(600, 20))
+    y = rng.normal(size=600)
+    models, peaks = [], []
+    for max_depth in (40, 2000):
+        spec = RegressorSpec(n_trees=2, max_depth=max_depth, min_samples_leaf=5)
+        peaks.append(_peak_bytes(lambda: models.append(fit_arrays(x, y, spec))))
+    for shallow, deep in zip(*(m.trees for m in models), strict=True):
+        for name in _TREE_ARRAYS:
+            np.testing.assert_array_equal(getattr(shallow, name), getattr(deep, name))
+    assert abs(peaks[1] - peaks[0]) < 2**20
