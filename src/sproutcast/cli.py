@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
+import itertools
 import json
 import os
 import platform
@@ -40,13 +42,53 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# a command returns (run_meta.json's directory, its configuration, the files it wrote), or None
+# what a command wrote, for run_meta.json: its directory, its configuration and the files
 _Written = tuple[Path, object, list[Path]] | None
+# a command returns the lines it prints and what it wrote; main prints the lines after
+# run_meta.json is written, so a reader that closes stdout early loses no file
+_Result = tuple[list[str], _Written]
+
+
+def _scipy_version() -> str | None:
+    """scipy's version from the METADATA of the dist-info directory beside the package, or None.
+
+    Neither scipy nor importlib.metadata is imported, so stamping the
+    version adds nothing to a command's start-up.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    site = Path(next(iter(spec.submodule_search_locations))).parent
+    for info in sorted(site.glob("scipy-*.dist-info")):
+        try:
+            with open(info / "METADATA", encoding="utf-8") as fh:  # its headers end at the first blank line
+                headers = dict(line.rstrip("\r\n").partition(": ")[::2] for line in itertools.takewhile(str.strip, fh))
+        except (OSError, UnicodeDecodeError):
+            continue
+        if headers.get("Name", "").lower() == "scipy" and headers.get("Version"):
+            return headers["Version"]
+    return None
+
+
+def _platform() -> str:
+    """The system, its release and machine, and the glibc version where there is one.
+
+    On Linux this is platform.platform()'s form, e.g.
+    Linux-6.1.0-x86_64-with-glibc2.36, without its scan of the interpreter
+    binary for the glibc version.
+    """
+    system = os.uname()
+    parts = [system.sysname, system.release, system.machine]
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")  # "glibc 2.36"
+    except (ValueError, OSError):  # not glibc
+        libc = None
+    if libc:
+        parts += ["with", libc.replace(" ", "")]
+    return "-".join(parts)
 
 
 def _write_run_meta(command: str, argv: list[str], out_dir: Path, config, outputs: list[Path]) -> None:
-    from importlib import metadata  # reads scipy's version without importing scipy
-
     meta = {
         "command": command,
         "argv": argv,
@@ -56,8 +98,8 @@ def _write_run_meta(command: str, argv: list[str], out_dir: Path, config, output
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": metadata.version("scipy"),
-            "platform": platform.platform(),
+            "scipy": _scipy_version(),
+            "platform": _platform(),
             "cpu_count": os.cpu_count(),
         },
     }
@@ -92,7 +134,7 @@ def _output(path: str | Path | None, directory: bool = False) -> Path | None:
     return path
 
 
-def cmd_synth(args: argparse.Namespace) -> _Written:
+def cmd_synth(args: argparse.Namespace) -> _Result:
     given = vars(args)  # only the flags given: SynthConfig holds the defaults
     values = {f.name: given[f.name] for f in dataclasses.fields(synth.SynthConfig) if f.name in given}
     if "band_low" in given or "band_high" in given:
@@ -108,11 +150,10 @@ def cmd_synth(args: argparse.Namespace) -> _Written:
     # each subject is written as it is generated
     subjects = [write_recording(rec, out_dir) for rec in synth.iter_recordings(cfg)]
     manifest = write_json(out_dir / "manifest.json", {"label": label, "subjects": subjects})
-    print(manifest)
-    return out_dir, dataclasses.asdict(cfg) | {"label": label}, [manifest]
+    return [str(manifest)], (out_dir, dataclasses.asdict(cfg) | {"label": label}, [manifest])
 
 
-def cmd_preprocess(args: argparse.Namespace) -> _Written:
+def cmd_preprocess(args: argparse.Namespace) -> _Result:
     cfg = _resolve(args)
     manifest_path = Path(args.manifest)
     out_manifest = _output(manifest_path.with_suffix(".conditioned.json"))
@@ -138,11 +179,10 @@ def cmd_preprocess(args: argparse.Namespace) -> _Written:
         entry["sample_rate_hz"] = conditioned.sample_rate_hz
     write_json(out_manifest, {"label": manifest.label, "subjects": subjects})
     outputs.append(out_manifest)
-    print(out_manifest)
-    return base, cfg, outputs
+    return [str(out_manifest)], (base, cfg, outputs)
 
 
-def cmd_features(args: argparse.Namespace) -> _Written:
+def cmd_features(args: argparse.Namespace) -> _Result:
     cfg = _resolve(args)
     out_path = _output(args.out)
     scalogram_dir = _output(args.dump_scalogram, directory=True)
@@ -167,22 +207,20 @@ def cmd_features(args: argparse.Namespace) -> _Written:
     ]
     with atomic_output(out_path) as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-    print(out_path)
-    return out_path.parent, cfg, [out_path, *scalograms]
+    return [str(out_path)], (out_path.parent, cfg, [out_path, *scalograms])
 
 
-def cmd_train(args: argparse.Namespace) -> _Written:
+def cmd_train(args: argparse.Namespace) -> _Result:
     cfg = _resolve(args)
     model_out = _output(args.model_out)
     manifest = load_manifest(args.manifest, labelled=True)
     example_set = build_dataset(iter_recordings(manifest), cfg)
     model = fit_config(example_set.x, example_set.y, cfg, example_set.layout)
     model_path = save_model(model, model_out)
-    print(model_path)
-    return model_path.parent, cfg, [model_path]
+    return [str(model_path)], (model_path.parent, cfg, [model_path])
 
 
-def cmd_predict(args: argparse.Namespace) -> _Written:
+def cmd_predict(args: argparse.Namespace) -> _Result:
     cfg = _resolve(args)
     out = _output(args.out)
     model = load_model(args.model)
@@ -213,14 +251,14 @@ def cmd_predict(args: argparse.Namespace) -> _Written:
             }
         )
         del rec  # the next subject is read without this one beside it
-    # --out is written first, so a reader that closes stdout early cannot lose it
-    out_path = None if out is None else write_json(out, results)
-    for row in results:
-        print(json.dumps(row, sort_keys=True))
-    return None if out_path is None else (out_path.parent, cfg, [out_path])
+    lines = [json.dumps(row, sort_keys=True) for row in results]
+    if out is None:
+        return lines, None
+    out_path = write_json(out, results)
+    return lines, (out_path.parent, cfg, [out_path])
 
 
-def cmd_evaluate(args: argparse.Namespace) -> _Written:
+def cmd_evaluate(args: argparse.Namespace) -> _Result:
     cfg = _resolve(args)
     out = _output(args.out)
     curves_dir = _output(args.curves_dir, directory=True)
@@ -231,35 +269,35 @@ def cmd_evaluate(args: argparse.Namespace) -> _Written:
     outputs = [out_path]
     if curves_dir:
         outputs += write_curves(report, curves_dir)
-    print(out_path)
-    return out_path.parent, cfg, outputs
+    return [str(out_path)], (out_path.parent, cfg, outputs)
 
 
-def cmd_report(args: argparse.Namespace) -> _Written:
+def cmd_report(args: argparse.Namespace) -> _Result:
     curves_dir = _output(args.curves_dir, directory=True)
     report = report_from_dict(read_json(args.report), args.report)
-    print(f"dataset:   {report.label}  (N={report.n_subjects}, strategy={report.strategy}"
-          + (f", uq_th={report.uq_th:g})" if report.uq_th is not None else ")"))
-    print(f"MAE:       {report.mae:.3f} days   (constant-mean baseline {report.baseline_mae:.3f})")
-    print(f"ESD:       {report.esd:.3f} days   (fallbacks: {report.fallback_count})")
     curve = dict(report.esd_percentiles)
-    print(f"ESD p25/p50/p75/p90: {curve[25.0]:.2f} / {curve[50.0]:.2f} / {curve[75.0]:.2f} / {curve[90.0]:.2f}")
+    lines = [
+        f"dataset:   {report.label}  (N={report.n_subjects}, strategy={report.strategy}"
+        + (f", uq_th={report.uq_th:g})" if report.uq_th is not None else ")"),
+        f"MAE:       {report.mae:.3f} days   (constant-mean baseline {report.baseline_mae:.3f})",
+        f"ESD:       {report.esd:.3f} days   (fallbacks: {report.fallback_count})",
+        f"ESD p25/p50/p75/p90: {curve[25.0]:.2f} / {curve[50.0]:.2f} / {curve[75.0]:.2f} / {curve[90.0]:.2f}",
+    ]
     lag = report.tlag_curve
     if lag:
         first, last = lag[0], lag[-1]
         def fmt(row):
             esd = "n/a" if row["mean_esd"] is None else f"{row['mean_esd']:.2f}"
             return f"t_lag {row['t_lag']}: ESD {esd} ({row['n_subjects']} subjects)"
-        print(f"t_lag:     {fmt(first)}  ->  {fmt(last)}")
+        lines.append(f"t_lag:     {fmt(first)}  ->  {fmt(last)}")
     vd = report.variance_decomposition
-    print(
+    lines.append(
         f"variance:  Var(Y)={vd['var_y']:.2f}  Var(Yhat)={vd['var_y_hat']:.2f}  "
         f"E[Var(Y|Yhat)]={vd['e_var_y_given_y_hat']:.2f}"
     )
     if curves_dir:
-        for p in write_curves(report, curves_dir):
-            print(p)
-    return None
+        lines += map(str, write_curves(report, curves_dir))
+    return lines, None
 
 
 def build_parser() -> _Parser:
@@ -326,9 +364,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        written = args.func(args)
+        lines, written = args.func(args)
         if written is not None:
             _write_run_meta(args.command, argv, *written)
+        for line in lines:
+            print(line)
         # a reader that closed stdout early fails here, as one error line, not at interpreter exit
         sys.stdout.flush()
         return 0

@@ -10,6 +10,7 @@ under a different layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -100,26 +101,38 @@ _QUANTILES = np.array(_PERCENTS) / 100
 # temporaries are a few rows long, while the 8 rows of a 1080-sample window
 # (68 KiB) are reduced in one chunk
 _CHUNK_BYTES = 512 << 10
+# the smallest normal float: a bin width below it is subnormal
+_TINY = np.finfo(np.float64).tiny
 
 
-def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """numpy's quantile interpolation: from ``a`` below t = 0.5, from ``b`` above."""
-    diff = b - a
-    out = a + diff * t
-    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
-    return out
-
-
-def _percentiles(s: np.ndarray) -> np.ndarray:
-    """The 5th, 25th, 50th, 75th and 95th percentile of each sorted row."""
-    n = s.shape[1]
+@lru_cache(maxsize=16)
+def _percentile_plan(n: int) -> tuple[np.ndarray, ...]:
+    """For rows of n samples: each quantile's ranks below and above, its weight t, 1 - t and t >= 0.5."""
     virtual = (n - 1) * _QUANTILES
     prev = np.floor(virtual)
     nxt = prev + 1
     top = virtual >= n - 1
     prev[top] = nxt[top] = -1
     prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
-    return _lerp(s[:, prev], s[:, nxt], virtual - prev)
+    t = virtual - prev
+    plan = prev, nxt, t, 1 - t, t >= 0.5
+    for a in plan:  # every caller shares them
+        a.flags.writeable = False
+    return plan
+
+
+def _percentiles(s: np.ndarray) -> np.ndarray:
+    """The 5th, 25th, 50th, 75th and 95th percentile of each sorted row.
+
+    numpy's quantile interpolation: from the rank below for t < 0.5, from
+    the rank above for t >= 0.5.
+    """
+    prev, nxt, t, rest, upper = _percentile_plan(s.shape[1])
+    a, b = s[:, prev], s[:, nxt]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * rest, out=out, where=upper)
+    return out
 
 
 def _entropy(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
@@ -151,14 +164,14 @@ def _entropy(s: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.nda
     # np.histogram corrects its estimate of a bin by at most one; a subnormal
     # width is a whole number of the smallest floats, which can put an edge
     # further off than that, so such rows are counted by np.histogram itself
-    for i in np.flatnonzero(width[:, 0] < np.finfo(np.float64).tiny):
+    for i in np.flatnonzero(width[:, 0] < _TINY):
         row = spread[i]
         counts[i] = np.histogram(s[row], bins=bins, range=(lo[row], hi[row]))[0]
     nonzero = counts > 0
     p = counts[nonzero] / n
     terms = p * np.log(p)
     ends = np.cumsum(nonzero.sum(axis=1)).tolist()
-    entropy[spread] = [-terms[a:b].sum() for a, b in zip([0] + ends[:-1], ends)]
+    entropy[spread] = [-np.add.reduce(terms[a:b]) for a, b in zip([0] + ends[:-1], ends)]
     return entropy
 
 
@@ -181,34 +194,30 @@ def _reduce_chunk(x: np.ndarray, bins: int) -> np.ndarray:
     # -0.0 and 0.0 compare equal, so where a row holds both, the sign that the
     # sort (which may rewrite zeros' signs) leaves at an end or a rank is not
     # what numpy's min, max and partition give; such rows take those calls
-    for row in _mixed_zero_rows(x, lo, hi):
-        lo[row], hi[row] = x[row].min(), x[row].max()
-        pct[row] = np.percentile(x[row], _PERCENTS)
+    if lo.min() <= 0.0:
+        for row in _mixed_zero_rows(x, lo, hi):
+            lo[row], hi[row] = x[row].min(), x[row].max()
+            pct[row] = np.percentile(x[row], _PERCENTS)
     mean = np.add.reduce(x, axis=1) / n
     centered = x - mean[:, None]
-    std = np.sqrt(np.add.reduce(centered * centered, axis=1) / n)
     energy = np.add.reduce(x * x, axis=1)
+    out = np.empty((len(x), FEATURES_PER_SCALE))  # in FEATURE_NAMES' order
+    out[:, 0] = energy
+    out[:, 1:4] = pct[:, :3]
+    out[:, 4] = mean
+    out[:, 5:7] = pct[:, 3:]
+    out[:, 7] = np.sqrt(np.add.reduce(centered * centered, axis=1) / n)
+    out[:, 8] = lo
+    out[:, 9] = hi
+    out[:, 10] = _entropy(s, lo, hi, bins)
     # no product of two non-negative floats (-0.0 included) is < 0, so a row
     # whose minimum is >= 0, as every |CWT| row is, has no zero crossing
-    zero_crossings = np.zeros(len(x), dtype=np.intp)
+    out[:, 11] = 0.0
     for row in np.flatnonzero(lo < 0.0):
-        zero_crossings[row] = np.count_nonzero(x[row, :-1] * x[row, 1:] < 0.0)
-    mean_crossings = np.count_nonzero(centered[:, :-1] * centered[:, 1:] < 0.0, axis=1)
-    return np.column_stack(
-        [
-            energy,
-            pct[:, :3],
-            mean,
-            pct[:, 3:],
-            std,
-            lo,
-            hi,
-            _entropy(s, lo, hi, bins),
-            zero_crossings,
-            mean_crossings,
-            np.sqrt(energy / n),
-        ]
-    )
+        out[row, 11] = np.count_nonzero(x[row, :-1] * x[row, 1:] < 0.0)
+    out[:, 12] = np.count_nonzero(centered[:, :-1] * centered[:, 1:] < 0.0, axis=1)
+    out[:, 13] = np.sqrt(energy / n)
+    return out
 
 
 def _reduce_rows(rows: np.ndarray, entropy_bins: int) -> np.ndarray:

@@ -18,7 +18,9 @@ self-describing JSON file that reloads bit-identically.
 
 from __future__ import annotations
 
+import itertools
 import math
+import reprlib
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from sproutcast.config import PipelineConfig, check_bounds
 from sproutcast.features import ExampleSet, FeatureVector
-from sproutcast.ingest import NUMBER, check_fields, is_json_type, read_json, write_json
+from sproutcast.ingest import NUMBER, check_fields, read_json, write_json
 
 # two-sided 95% Student-t critical value, 9 degrees of freedom
 T_CRIT_975_DF9 = 2.262
@@ -66,6 +68,8 @@ class Tree:
 
 # each tree array's name and dtype, in Tree's field order
 _TREE_ARRAYS = {f.name: f.metadata["dtype"] for f in fields(Tree)}
+# a tree's JSON form: each array as a list
+_TREE_FIELDS = dict.fromkeys(_TREE_ARRAYS, list)
 
 
 @dataclass
@@ -472,32 +476,71 @@ def _to_dict(model: TrainedModel | Ensemble) -> dict:
     return dict(zip([*_HEADER_FIELDS, *_KIND_FIELDS[kind]], [*header, *body]))
 
 
-def _tree_from_dict(d: dict, n_features: int, where: str) -> Tree:
-    """Rebuild a tree, rejecting arrays that predict_matrix could not walk.
+def _first_misread(items: list, dtype) -> int | None:
+    """The index of the first item that ``np.asarray(items, dtype)`` would misread or fail on, or None.
 
-    grow writes nodes in preorder, so every child index is greater than its
-    parent's; checking that keeps a corrupt file from looping forever.
+    np.asarray would read 1.5 as the integer 1, and null, true or "0.5" as a
+    float; a JSON true is never a number, and an integer must lie in the
+    dtype's range (Python compares an integer with a float exactly).
     """
-    check_fields(d, dict.fromkeys(_TREE_ARRAYS, list), where)
-    for name, dtype in _TREE_ARRAYS.items():
-        # np.asarray would read 1.5 as the integer 1, and null, true or "0.5" as a float
-        types = (int,) if dtype is np.int32 else NUMBER
-        if not all(is_json_type(v, types) for v in d[name]):
-            raise ValueError(f"{where}: {name} holds an item that is not {' or '.join(t.__name__ for t in types)}")
+    kinds, info = ((int,), np.iinfo(dtype)) if dtype is np.int32 else (NUMBER, np.finfo(dtype))
+    lo, hi = float(info.min), float(info.max)
+    present = set(map(type, items))
+    if present <= set(kinds):
+        if int not in present:
+            return None
+        ints = items if present == {int} else [v for v in items if type(v) is int]
+        if lo <= min(ints) and max(ints) <= hi:
+            return None
+    return next(k for k, v in enumerate(items) if type(v) not in kinds or type(v) is int and not lo <= v <= hi)
+
+
+def _trees_from_dicts(trees: list, n_features: int, where: str) -> list[Tree]:
+    """Rebuild a model's trees, rejecting arrays that predict_matrix could not walk.
+
+    Each field is checked once, over all the trees' items, and a fault names
+    the first tree that holds it.  grow writes nodes in preorder, so every
+    child index is greater than its parent's; checking that keeps a corrupt
+    file from looping forever.
+    """
     try:
-        tree = Tree(**{name: np.asarray(d[name], dtype=dtype) for name, dtype in _TREE_ARRAYS.items()})
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-    n = len(tree.feature) if tree.feature.ndim == 1 else 0
-    if n == 0 or any(getattr(tree, name).shape != (n,) for name in _TREE_ARRAYS):
-        raise ValueError(f"{where}: tree arrays must be flat lists of one equal, non-zero length")
-    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
-        raise ValueError(f"{where}: feature index outside [-1, {n_features})")
-    internal = np.flatnonzero(tree.feature >= 0)
-    for child in (tree.left[internal], tree.right[internal]):
-        if ((child <= internal) | (child >= n)).any():
-            raise ValueError(f"{where}: child index out of range or not after its parent")
-    return tree
+        columns = {name: [tree[name] for tree in trees] for name in _TREE_ARRAYS}
+    except (KeyError, TypeError):  # a tree that is not an object, or lacks a field
+        columns = None
+    if columns is None or any(set(map(type, column)) - {list} for column in columns.values()):
+        for i, tree in enumerate(trees):  # name the first tree at fault
+            check_fields(tree, _TREE_FIELDS, f"{where}: tree {i}")
+    if not trees:
+        return []
+    sizes = np.array([list(map(len, column)) for column in columns.values()]).T
+    unequal = (sizes[:, 0] == 0) | (sizes != sizes[:, :1]).any(axis=1)
+    if unequal.any():
+        raise ValueError(f"{where}: tree {unequal.argmax()}: tree arrays must be flat lists of one equal, non-zero length")
+    n = sizes[:, 0]
+    ends = np.cumsum(n)
+    starts = ends - n
+    arrays = {}
+    for name, dtype in _TREE_ARRAYS.items():
+        items = list(itertools.chain.from_iterable(columns[name]))
+        bad = _first_misread(items, dtype)
+        if bad is not None:
+            i = ends.searchsorted(bad, side="right")
+            raise ValueError(f"{where}: tree {i}: {name} holds {reprlib.repr(items[bad])}, which is not {np.dtype(dtype)}")
+        arrays[name] = np.asarray(items, dtype=dtype)
+    feature = arrays["feature"]
+    outside = (feature < -1) | (feature >= n_features)
+    if outside.any():
+        i = ends.searchsorted(outside.argmax(), side="right")
+        raise ValueError(f"{where}: tree {i}: feature index outside [-1, {n_features})")
+    internal = np.flatnonzero(feature >= 0)
+    owner = ends.searchsorted(internal, side="right")  # each internal node's tree
+    local, size = internal - starts[owner], n[owner]
+    misplaced = np.zeros(len(internal), dtype=bool)
+    for child in (arrays["left"][internal], arrays["right"][internal]):
+        misplaced |= (child <= local) | (child >= size)
+    if misplaced.any():
+        raise ValueError(f"{where}: tree {owner[misplaced.argmax()]}: child index out of range or not after its parent")
+    return [Tree(*(arrays[name][a:b] for name in _TREE_ARRAYS)) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def _from_dict(d, where: str, kinds: tuple[str, ...]) -> TrainedModel | Ensemble:
@@ -534,7 +577,7 @@ def _from_dict(d, where: str, kinds: tuple[str, ...]) -> TrainedModel | Ensemble
         )
     return TrainedModel(
         spec=spec,
-        trees=[_tree_from_dict(t, n_features, f"{where}: tree {i}") for i, t in enumerate(d["trees"])],
+        trees=_trees_from_dicts(d["trees"], n_features, where),
         base_prediction=float(d["base_prediction"]),
         feature_layout_version=layout,
         n_features=n_features,

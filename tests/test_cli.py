@@ -1,12 +1,15 @@
 import argparse
 import dataclasses
 import errno
+import importlib.machinery
+import importlib.util
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -877,6 +880,41 @@ def test_cli_import_loads_no_process_pool():
     assert out == "[]\n"
 
 
+def test_predict_stamps_scipy_without_importing_it(model_payload, tmp_path):
+    flags, payload = model_payload
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    argv = ["predict", "--model", str(model), *flags, "--out", str(tmp_path / "p.json")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import json, sys; from sproutcast.cli import main; code = main(json.loads(sys.argv[1])); "
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' or m.startswith('importlib.metadata')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, capture_output=True, text=True)
+    assert run.stdout.splitlines()[-1] == "0 []", run.stderr
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["environment"]["scipy"] == metadata.version("scipy")
+
+
+def test_run_meta_records_null_where_scipy_has_no_dist_info(tmp_path, monkeypatch):
+    package = tmp_path / "site" / "scipy"
+    package.mkdir(parents=True)
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(package)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: spec)
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--subjects", "2", "--days-min", "2", "--days-max", "2",
+                 "--rate", repr(RATE), "--band-low", "0.0008", "--band-high", "0.004"]) == 0
+    assert json.loads((out / "run_meta.json").read_text())["environment"]["scipy"] is None
+    # only a dist-info whose METADATA names scipy counts
+    for name, headers in [("scipy-0.1.dist-info", "Name: scipy-extra\nVersion: 0.1\n"),
+                          ("scipy-9.9.dist-info", "Metadata-Version: 2.1\nName: scipy\nVersion: 9.9\n\nName: x\n")]:
+        (package.parent / name).mkdir()
+        (package.parent / name / "METADATA").write_text(headers)
+    assert cli._scipy_version() == "9.9"
+
+
 def test_evaluate_flags_reach_config(synth_dir, tmp_path, capsys):
     code = main(
         ["evaluate", "--manifest", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "r.json"),
@@ -901,9 +939,30 @@ def model_payload(tmp_path_factory):
     return ["--manifest", str(data / "manifest.json"), "--config", str(ini)], json.loads(model.read_text())
 
 
+# the tree each whole-model case corrupts, as its error names it; "last" is the model's last tree
+_CORRUPT_TREE = {
+    "child-into-next-tree": "tree 1",
+    "feature-out-of-range-in-last-tree": "tree last",
+    "threshold-above-float-range": "tree 2",
+    "member-value-longer-in-last-tree": "member 1: tree last",
+}
+
+
 def _corrupt(case, payload):
     tree = next(t for t in payload["trees"] if t["feature"][0] >= 0)
-    if case == "missing-kind":
+    if case == "child-into-next-tree":  # one past its own nodes: the next tree's root, in the stacked walk
+        middle = payload["trees"][1]
+        middle["left"][0] = len(middle["feature"])
+    elif case == "feature-out-of-range-in-last-tree":
+        payload["trees"][-1]["feature"][-1] = payload["n_features"]
+    elif case == "threshold-above-float-range":
+        payload["trees"][2]["threshold"][0] = 10**309  # an integer no float holds
+    elif case == "member-value-longer-in-last-tree":
+        member = json.loads(json.dumps(payload))
+        member["trees"][-1]["value"].append(0.0)
+        header = {key: payload[key] for key in ("format_version", "feature_layout", "n_features", "spec")}
+        payload = {**header, "kind": "ensemble", "n_members": 2, "members": [payload, member]}
+    elif case == "missing-kind":
         del payload["kind"]
     elif case == "missing-spec":
         del payload["spec"]
@@ -947,7 +1006,7 @@ def _corrupt(case, payload):
     ["missing-kind", "missing-spec", "missing-trees", "missing-tree-key", "unequal-lengths",
      "child-out-of-range", "child-loops-back", "feature-out-of-range", "feature-is-fractional",
      "leaf-is-nan", "threshold-is-null", "leaf-is-true", "threshold-is-string",
-     "member-layout-differs", "member-width-differs", "format-version-2", "unknown-kind"],
+     "member-layout-differs", "member-width-differs", "format-version-2", "unknown-kind", *_CORRUPT_TREE],
 )
 def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsys):
     flags, payload = model_payload
@@ -961,6 +1020,9 @@ def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsy
     assert err.startswith(f"error[3]: {path}")
     if case.startswith("member-"):
         assert err.startswith(f"error[3]: {path}: member 1: ")
+    if case in _CORRUPT_TREE:
+        where = _CORRUPT_TREE[case].replace("last", str(len(payload["trees"]) - 1))
+        assert err.startswith(f"error[3]: {path}: {where}: ")
 
 
 class _ClosedPipe(io.StringIO):
@@ -993,6 +1055,8 @@ def test_predict_out_survives_a_closed_stdout(fails_on, model_payload, tmp_path,
     assert code == 3
     assert capsys.readouterr().err == f"error[3]: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
     assert len(json.loads(out.read_text())) == 3
+    # the rows are printed only after run_meta.json is written
+    assert json.loads((tmp_path / "run_meta.json").read_text())["outputs"] == [str(out)]
     # the interpreter's own final flush has nothing left to fail on
     assert sys.stdout is None
 

@@ -120,6 +120,34 @@ def test_block_reduction_matches_oracle_on_magnitude_rows(rng):
         assert_matches_oracle(np.abs(rng.normal(size=(8, w))), 64)
 
 
+def test_block_reduction_matches_oracle_on_rows_that_fill_different_bins(rng):
+    # rows that fill every one of 8 bins beside rows that leave 1, 3 or 6 empty, in one chunk
+    bins, w = 8, 40
+    block = []
+    for empty in (0, 1, 0, 3, 6, 1, 0):
+        filled = np.concatenate([[0, bins - 1], rng.choice(np.arange(1, bins - 1), bins - 2 - empty, replace=False)])
+        # every chosen bin gets a sample, and 0 and 1 set the range
+        at = np.concatenate([filled, rng.choice(filled, w - 2 - len(filled))]) + rng.uniform(0.05, 0.95, w - 2)
+        block.append(rng.permutation(np.concatenate([[0.0, 1.0], at / bins])) * 3.0)
+    block = np.array(block)
+    counts = {np.count_nonzero(np.histogram(row, bins)[0]) for row in block}
+    assert counts == {bins, bins - 1, bins - 3, bins - 6}
+    assert_matches_oracle(block, bins)
+
+
+def test_block_reduction_matches_oracle_on_rows_with_zeros():
+    # a row whose minimum is exactly 0.0 beside one holding -0.0 and 0.0, in one chunk
+    block = np.array([[0.0, 0.5, 2.0, 1.0, 0.0, 3.0], [-0.0, 0.0, 1.0, 2.0, 0.5, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+    assert_matches_oracle(block, 4)
+    assert_matches_oracle(block[[1, 0]], 4)
+
+
+def test_block_reduction_matches_oracle_as_the_row_length_changes(rng):
+    # each length's percentile ranks and weights are kept; none may serve another length
+    for w in (2, 1080, 3, 5000, 2):
+        assert_matches_oracle(np.abs(rng.normal(size=(4, w))), 64)
+
+
 def test_block_reduction_raises_like_histogram_on_too_many_bins():
     row = np.array([1.0, np.nextafter(1.0, 2.0), 1.0])
     block = np.stack([np.arange(3.0), row])
