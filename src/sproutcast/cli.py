@@ -92,7 +92,7 @@ def _write_run_meta(command: str, argv: list[str], out_dir: Path, config, output
     meta = {
         "command": command,
         "argv": argv,
-        "config": dataclasses.asdict(config) if dataclasses.is_dataclass(config) else config,
+        "config": dataclasses.asdict(config),
         "outputs": [str(p) for p in outputs],
         "version": __version__,
         "environment": {
@@ -146,11 +146,10 @@ def cmd_synth(args: argparse.Namespace) -> _Result:
         values["sample_rate_hz"] = 256.0
     cfg = synth.SynthConfig(**values)
     out_dir = _output(args.out, directory=True)
-    label = given.get("label") or cfg.label
     # each subject is written as it is generated
     subjects = [write_recording(rec, out_dir) for rec in synth.iter_recordings(cfg)]
-    manifest = write_json(out_dir / "manifest.json", {"label": label, "subjects": subjects})
-    return [str(manifest)], (out_dir, dataclasses.asdict(cfg) | {"label": label}, [manifest])
+    manifest = write_json(out_dir / "manifest.json", {"label": cfg.label, "subjects": subjects})
+    return [str(manifest)], (out_dir, cfg, [manifest])
 
 
 def cmd_preprocess(args: argparse.Namespace) -> _Result:
@@ -315,7 +314,6 @@ def build_parser() -> _Parser:
     p.add_argument("--band-low", type=float)
     p.add_argument("--band-high", type=float)
     p.add_argument("--raw-256hz", action="store_true", help="generate at 256 Hz to exercise conditioning")
-    p.add_argument("--label")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="run the conditioning chain over a manifest")

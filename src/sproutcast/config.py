@@ -29,6 +29,8 @@ def _at_least(least: int):
 _POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
 _NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
 _FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
+# a lag of up to ten years either side of sprouting
+_LAG = (lambda v: -3650 <= v <= 3650, "between -3650 and 3650 days")
 _STRATEGIES = ("single", "ensemble")
 
 # field -> (test, what it asks for) for every config dataclass (PipelineConfig,
@@ -53,6 +55,8 @@ _BOUNDS = {
     "uq_th": (lambda v: v is None or 0 < v < math.inf, "positive and finite"),
     # the ensemble's t-interval needs two members
     "n_members": _at_least(2),
+    "tlag_min": _LAG,
+    "tlag_max": _LAG,
     "calibration_bin_width": _POSITIVE,
     "rolling_n": _at_least(1),
     "jobs": _at_least(1),

@@ -10,6 +10,7 @@ constant-mean baseline so null datasets can be recognized.
 
 from __future__ import annotations
 
+import os
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -103,7 +104,8 @@ def loo_cv(data: ExampleSet, cfg: PipelineConfig | None = None) -> list[FoldResu
     ``features.build_dataset``); results ordered by subject id.
 
     Folds are independent; cfg.jobs > 1 runs them in worker processes
-    without changing any output.
+    without changing any output, never more than there are folds or
+    usable CPUs.
     """
     cfg = cfg or PipelineConfig()
     if len(data.true_day) < 2:
@@ -112,12 +114,14 @@ def loo_cv(data: ExampleSet, cfg: PipelineConfig | None = None) -> list[FoldResu
         if not m:
             raise ValueError(f"subject {sid!r} contributed no windows; cannot evaluate")
     folds = range(len(data.true_day))
-    if cfg.jobs > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cfg.jobs, len(folds), cpus)
+    if workers > 1:
         # imported here: it pulls in multiprocessing, socket and subprocess, and
         # most runs evaluate in one process
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(partial(_run_fold, data, cfg), folds))
     return [_run_fold(data, cfg, fold) for fold in folds]
 
@@ -142,15 +146,10 @@ def tlag_sweep(folds: list[FoldResult], lags: range | None = None) -> list[dict]
     return curve
 
 
-def _per_day_series(fold: FoldResult) -> tuple[np.ndarray, np.ndarray]:
-    """(days, mean prediction per day) for one subject, days ascending."""
-    days = sorted({e.day_offset for e in fold.window_estimates})
-    by_day = {d: [] for d in days}
-    for e in fold.window_estimates:
-        by_day[e.day_offset].append(e.y_hat)
-    day_arr = np.array(days, dtype=np.float64)
-    pred = np.array([np.mean(by_day[d]) for d in days])
-    return day_arr, pred
+def _groups(keys, values) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each distinct key, ascending, and the values at that key in their original order."""
+    distinct, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return distinct, np.split(np.asarray(values)[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
 
 
 def calibration_curves(
@@ -171,18 +170,16 @@ def calibration_curves(
         raise ValueError("bin_width must be positive")
     pooled_y: list[np.ndarray] = []
     pooled_pred: list[np.ndarray] = []
-    for fr in folds:
-        days, pred = _per_day_series(fr)
-        pooled_pred.append(rolling_mean(pred, rolling_n))
+    for fr in folds:  # each subject's mean prediction per day, days ascending
+        estimates = fr.window_estimates
+        days, by_day = _groups([float(e.day_offset) for e in estimates], [e.y_hat for e in estimates])
+        pooled_pred.append(rolling_mean([np.mean(values) for values in by_day], rolling_n))
         pooled_y.append(fr.true_day - days)
     y = np.concatenate(pooled_y)
     y_hat = np.concatenate(pooled_pred)
-    bin_idx = np.floor(y_hat / bin_width).astype(np.int64)
     bins = []
-    for b in np.unique(bin_idx):
-        sel = bin_idx == b
-        count = int(sel.sum())
-        row = (float((b + 0.5) * bin_width), float(y[sel].mean()), float(y[sel].std()), count, count < min_support)
+    for b, y_b in zip(*_groups(np.floor(y_hat / bin_width), y)):
+        row = (float((b + 0.5) * bin_width), float(y_b.mean()), float(y_b.std()), len(y_b), len(y_b) < min_support)
         bins.append(dict(zip(_CALIBRATION_BIN_FIELDS, row)))
     return {"bin_width": bin_width, "rolling_n": rolling_n, "bins": bins}
 
@@ -196,15 +193,8 @@ def variance_decomposition(y, y_hat, bin_width: float | None = None) -> dict:
     """
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
-    if bin_width is None:
-        _, inverse = np.unique(y_hat, return_inverse=True)
-    else:
-        _, inverse = np.unique(np.floor(y_hat / bin_width).astype(np.int64), return_inverse=True)
-    n = len(y)
-    e_var = 0.0
-    for g in range(inverse.max() + 1):
-        sel = inverse == g
-        e_var += sel.sum() / n * float(y[sel].var())
+    _, groups = _groups(y_hat if bin_width is None else np.floor(y_hat / bin_width), y)
+    e_var = sum(len(y_g) / len(y) * float(y_g.var()) for y_g in groups)
     return dict(zip(_VARIANCE_FIELDS, (float(y.var()), float(y_hat.var()), e_var)))
 
 

@@ -575,8 +575,13 @@ def write_recording(rec: Recording, out_dir: Path) -> dict:
 
 
 def day_offset_date(rec: Recording, day_offset: float) -> date:
-    """Convert a (possibly fractional) day offset into a calendar date."""
-    return rec.start_day + timedelta(days=round(day_offset))
+    """Convert a (possibly fractional) day offset into a calendar date; ValueError if there is none."""
+    try:
+        return rec.start_day + timedelta(days=round(day_offset))
+    except (OverflowError, ValueError):  # NaN, an infinity, or past the years 1 to 9999
+        raise ValueError(
+            f"subject {rec.subject_id!r}: estimate {day_offset!r} days from {rec.start_day} falls outside the calendar"
+        ) from None
 
 
 __all__ = [

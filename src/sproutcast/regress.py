@@ -359,8 +359,9 @@ def predict_matrix(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     while not leaf[node].all():
         go_left = flat.take(at + feature[node]) <= threshold[node]
         node = np.where(go_left, left[node], right[node])
-    for row in value[node.reshape(len(sizes), n)]:
-        out += model.spec.learning_rate * row
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, which the caller can report
+        for row in value[node.reshape(len(sizes), n)]:
+            out += model.spec.learning_rate * row
     return out
 
 
@@ -436,9 +437,10 @@ def _t_crit_975(df: int) -> float:
 def ensemble_predict_matrix(ens: Ensemble, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (mean, 95% CI half-width) over the member predictions."""
     preds = np.stack([predict_matrix(m, x) for m in ens.members])
-    mean = preds.mean(axis=0)
     n_members = len(ens.members)
-    s = preds.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf member gives an inf mean, which the caller can report
+        mean = preds.mean(axis=0)
+        s = preds.std(axis=0, ddof=1)
     half = _t_crit_975(n_members - 1) * s / math.sqrt(n_members)
     return mean, half
 
@@ -543,14 +545,18 @@ def _trees_from_dicts(trees: list, n_features: int, where: str) -> list[Tree]:
     return [Tree(*(arrays[name][a:b] for name in _TREE_ARRAYS)) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
-def _from_dict(d, where: str, kinds: tuple[str, ...]) -> TrainedModel | Ensemble:
-    """Rebuild a model of one of ``kinds`` from its JSON form, checking every field."""
+def _from_dict(d, where: str, ensemble: tuple[str, int] | None = None) -> TrainedModel | Ensemble:
+    """Rebuild a model from its JSON form, checking every field; a member must be single, with header ``ensemble``."""
     check_fields(d, _HEADER_FIELDS, where)
     kind, version, layout, n_features, spec = (d[key] for key in _HEADER_FIELDS)
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{where}: unsupported model format version {version!r}")
-    if kind not in kinds:
+    if kind not in (_KIND_FIELDS if ensemble is None else ("single",)):
         raise ValueError(f"{where}: unexpected model kind {kind!r}")
+    if ensemble is not None and (layout, n_features) != ensemble:
+        raise ValueError(
+            f"{where}: (feature_layout, n_features) {(layout, n_features)} differs from the ensemble's {ensemble}"
+        )
     try:
         spec = RegressorSpec(**spec)
     except (TypeError, ValueError) as exc:
@@ -560,14 +566,7 @@ def _from_dict(d, where: str, kinds: tuple[str, ...]) -> TrainedModel | Ensemble
         # the t-interval needs two members
         if not 2 <= len(d["members"]) == d["n_members"]:
             raise ValueError(f"{where}: members must hold n_members models, at least 2")
-        members = [_from_dict(m, f"{where}: member {u}", ("single",)) for u, m in enumerate(d["members"])]
-        for u, member in enumerate(members):
-            header = (member.feature_layout_version, member.n_features)
-            if header != (layout, n_features):
-                raise ValueError(
-                    f"{where}: member {u}: (feature_layout, n_features) {header} differs from the ensemble's "
-                    f"{(layout, n_features)}"
-                )
+        members = [_from_dict(m, f"{where}: member {u}", (layout, n_features)) for u, m in enumerate(d["members"])]
         return Ensemble(
             members=members,
             subset_assignment=np.array([], dtype=np.int32),
@@ -595,7 +594,7 @@ def load_model(path: str | Path) -> TrainedModel | Ensemble:
     A loaded ensemble's ``subset_assignment`` is empty: the file does not
     keep the training partition, which prediction never reads.
     """
-    return _from_dict(read_json(path), str(path), ("single", "ensemble"))
+    return _from_dict(read_json(path), str(path))
 
 
 __all__ = [

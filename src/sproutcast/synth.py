@@ -40,19 +40,18 @@ class SynthConfig:
     drift_amplitude: float = option(1.5, "synth", "--drift")
     storage_temp_c: int = option(8, "synth", "--temp", help="storage temperature to record (C)")
     seed: int = option(7, "synth")
+    label: str = option("", "synth", help="dataset label (default: synthetic-seed<seed>)")
 
     def __post_init__(self) -> None:
         check_bounds(self)
+        if not self.label:
+            object.__setattr__(self, "label", f"synthetic-seed{self.seed}")
         if self.days_min > self.days_max:
             raise ConfigError("need days_min <= days_max")
         low, high = self.signature_band_hz
         if not 0 < low < high < self.sample_rate_hz / 2:
             raise ConfigError("signature band must satisfy 0 < low < high < rate/2")
         self.samples_per_day  # raises ConfigError unless a day is a whole number of samples
-
-    @property
-    def label(self) -> str:
-        return f"synthetic-seed{self.seed}"
 
     @property
     def samples_per_day(self) -> int:

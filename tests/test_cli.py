@@ -661,6 +661,8 @@ def test_interrupted_preprocess_leaves_each_csv_old_or_new(synth_dir, config_fil
         ("evaluate", "jobs", 0),
         ("evaluate", "rolling_n", 0),
         ("evaluate", "tlag_min", 5),  # above tlag_max
+        ("evaluate", "tlag_min", -100000000),  # a sweep of 10^8 lags
+        ("evaluate", "tlag_max", 100000000),
         ("features", "entropy_bins", 0),
         ("features", "time_domain", "ture"),
         ("wavelet", "omega0", -6),
@@ -808,10 +810,21 @@ def test_synth_flags_reach_synth_config_and_keep_its_defaults():
     fields = {f.name for f in dataclasses.fields(SynthConfig)}
     synth = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["synth"]
     dests = {a.dest for a in synth._actions if not isinstance(a, argparse._HelpAction)}
-    assert dests - fields == {"out", "band_low", "band_high", "raw_256hz", "label"}
+    assert dests - fields == {"out", "band_low", "band_high", "raw_256hz"}
     # a flag not given leaves no value behind, so SynthConfig's defaults are the only ones
     given = vars(build_parser().parse_args(["synth", "--out", "d"]))
     assert set(given) == {"command", "func", "out"}
+
+
+@pytest.mark.parametrize(
+    "flags, label", [(["--label", "demo"], "demo"), ([], "synthetic-seed3"), (["--label", ""], "synthetic-seed3")]
+)
+def test_synth_label_reaches_the_manifest_and_run_meta(flags, label, tmp_path):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--subjects", "1", "--days-min", "2", "--days-max", "2",
+                 "--rate", repr(RATE), "--band-low", "0.0008", "--band-high", "0.004", "--seed", "3", *flags]) == 0
+    assert json.loads((out / "manifest.json").read_text())["label"] == label
+    assert json.loads((out / "run_meta.json").read_text())["config"]["label"] == label
 
 
 def test_synth_refuses_raw_256hz_with_a_rate(tmp_path, capsys):
@@ -988,6 +1001,15 @@ def _corrupt(case, payload):
         tree["value"][-1] = True  # would load as 1.0
     elif case == "threshold-is-string":
         tree["threshold"][0] = "0.5"  # would load as 0.5
+    elif case == "leaves-are-1e12":  # an estimate some 10^11 days out
+        for t in payload["trees"]:
+            t["value"] = [1e12] * len(t["value"])
+    elif case.endswith("leaf-sum-overflows"):  # two finite leaves whose sum is no float
+        payload["spec"]["learning_rate"] = 1.0
+        payload["trees"] = [{**t, "value": [1e308] * len(t["value"])} for t in payload["trees"][:2]]
+        if case.startswith("ensemble-"):
+            header = {key: payload[key] for key in ("format_version", "feature_layout", "n_features", "spec")}
+            payload = {**header, "kind": "ensemble", "n_members": 2, "members": [payload, payload]}
     elif case == "format-version-2":
         payload["format_version"] = 2
     elif case == "unknown-kind":
@@ -996,6 +1018,8 @@ def _corrupt(case, payload):
         member = {**payload, "feature_layout": "time-v9"}
         if case == "member-width-differs":
             member["n_features"] = 500
+        elif case == "member-layout-differs-first-tree-corrupt":  # the header is checked before the trees
+            member["trees"] = [{**payload["trees"][0], "feature": "corrupt"}, *payload["trees"][1:]]
         header = {key: payload[key] for key in ("format_version", "feature_layout", "n_features", "spec")}
         payload = {**header, "kind": "ensemble", "n_members": 2, "members": [payload, member]}
     return payload
@@ -1006,7 +1030,8 @@ def _corrupt(case, payload):
     ["missing-kind", "missing-spec", "missing-trees", "missing-tree-key", "unequal-lengths",
      "child-out-of-range", "child-loops-back", "feature-out-of-range", "feature-is-fractional",
      "leaf-is-nan", "threshold-is-null", "leaf-is-true", "threshold-is-string",
-     "member-layout-differs", "member-width-differs", "format-version-2", "unknown-kind", *_CORRUPT_TREE],
+     "member-layout-differs", "member-width-differs", "member-layout-differs-first-tree-corrupt",
+     "format-version-2", "unknown-kind", *_CORRUPT_TREE],
 )
 def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsys):
     flags, payload = model_payload
@@ -1020,9 +1045,27 @@ def test_predict_rejects_corrupt_model_file(case, model_payload, tmp_path, capsy
     assert err.startswith(f"error[3]: {path}")
     if case.startswith("member-"):
         assert err.startswith(f"error[3]: {path}: member 1: ")
+    if "differs" in case:
+        assert "(feature_layout, n_features)" in err and "differs from the ensemble's" in err
     if case in _CORRUPT_TREE:
         where = _CORRUPT_TREE[case].replace("last", str(len(payload["trees"]) - 1))
         assert err.startswith(f"error[3]: {path}: {where}: ")
+
+
+@pytest.mark.parametrize(
+    "case, estimate",
+    [("leaves-are-1e12", "2000000000"), ("leaf-sum-overflows", "inf"), ("ensemble-leaf-sum-overflows", "inf")],
+)
+def test_predict_reports_an_estimate_off_the_calendar(case, estimate, model_payload, tmp_path, capsys):
+    flags, payload = model_payload
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_corrupt(case, json.loads(json.dumps(payload)))))
+    # a warning would raise here, and end the run in a traceback
+    assert main(["predict", "--model", str(path), *flags, "--uq-th", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error[3]: subject 'p000': estimate {estimate}")
+    assert "outside the calendar" in err
 
 
 class _ClosedPipe(io.StringIO):

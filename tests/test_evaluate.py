@@ -1,11 +1,14 @@
+import concurrent.futures
 import json
+import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from sproutcast import evaluate, ingest
 from sproutcast.config import PipelineConfig
-from sproutcast.estimate import SubjectEstimate, WindowEstimate
+from sproutcast.estimate import SubjectEstimate, WindowEstimate, rolling_mean
 from sproutcast.evaluate import (
     FoldResult,
     calibration_curves,
@@ -113,9 +116,35 @@ def test_loo_parallel_folds_match_serial():
     serial = compute_metrics(loo_cv(build_dataset(ds, CFG), CFG), CFG)
     parallel_cfg = PipelineConfig(**{**CFG.__dict__, "jobs": 2})
     parallel = compute_metrics(loo_cv(build_dataset(ds, parallel_cfg), parallel_cfg), parallel_cfg)
-    assert parallel.mae == serial.mae
-    assert parallel.esd == serial.esd
-    assert parallel.esd_percentiles == serial.esd_percentiles
+    assert asdict(parallel) == asdict(serial)
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, 3), (2, 2)])
+def test_loo_jobs_never_exceed_the_folds_or_the_cpus(cpus, workers, monkeypatch):
+    seen = []
+
+    class SerialExecutor:  # a real pool would start every worker it is asked for at its first submit
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    ds = tiny_dataset(3)
+    serial = compute_metrics(loo_cv(build_dataset(ds, CFG), CFG), CFG)
+    many_cfg = PipelineConfig(**{**CFG.__dict__, "jobs": 10**6})
+    many = compute_metrics(loo_cv(build_dataset(ds, many_cfg), many_cfg), many_cfg)
+    assert seen == [workers]
+    assert asdict(many) == asdict(serial)
 
 
 def test_two_level_mae_grouping():
@@ -196,6 +225,22 @@ def test_calibration_constant_predictor():
     table = calibration_curves([fold], bin_width=5.0, rolling_n=7)
     assert len(table["bins"]) == 1
     assert table["bins"][0]["e_y"] == pytest.approx(y_mean)
+
+
+def test_calibration_bins_each_prediction_at_a_tiny_bin_width():
+    # bin indices near 1e301 are whole floats far outside any integer type
+    folds = [oracle_fold(f"s{i:02d}", 10 + i) for i in range(16)]
+    table = calibration_curves(folds, bin_width=1e-300, rolling_n=3)
+    rolled = np.concatenate([rolling_mean([e.y_hat for e in fr.window_estimates], 3) for fr in folds])
+    distinct = np.unique(rolled)
+    assert len(distinct) > 1
+    assert [row["y_hat_center"] for row in table["bins"]] == pytest.approx(distinct.tolist(), rel=1e-12)
+    assert [row["count"] for row in table["bins"]] == [int((rolled == v).sum()) for v in distinct]
+
+
+def test_variance_decomposition_at_a_tiny_bin_width():
+    y = np.arange(5.0)
+    assert variance_decomposition(y, y, 1e-300)["e_var_y_given_y_hat"] == 0.0
 
 
 def test_variance_decomposition_exact_and_binned(rng):

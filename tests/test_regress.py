@@ -539,7 +539,7 @@ def test_forest_walk_matches_per_tree_oracle(problem):
     x, models = problem
     assert_walk_matches_oracle(x, models)
     # the same trees as a model file holds them
-    loaded = [_from_dict(json.loads(json.dumps(_to_dict(m))), "model", ("single",)) for m in models]
+    loaded = [_from_dict(json.loads(json.dumps(_to_dict(m))), "model") for m in models]
     assert_walk_matches_oracle(x, loaded)
 
 
