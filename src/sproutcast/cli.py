@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from sproutcast import __version__, synth
-from sproutcast.config import SECTIONS, ConfigError, PipelineConfig, option_flag, resolve_config
+from sproutcast.config import SECTIONS, ConfigError, PipelineConfig, add_option, resolve_config
 from sproutcast.estimate import aggregate, window_estimates
 from sproutcast.evaluate import compute_metrics, loo_cv, report_from_dict, write_curves, write_report
 from sproutcast.features import build_dataset, extract_subject_features, layout_version
@@ -112,8 +112,7 @@ def _config_flags(parser: argparse.ArgumentParser, through: str) -> None:
     sections = SECTIONS[: SECTIONS.index(through) + 1]
     for f in dataclasses.fields(PipelineConfig):
         if f.metadata["section"] in sections:
-            flag, keywords = option_flag(f)
-            parser.add_argument(flag, **keywords)
+            add_option(parser, f)
 
 
 def _resolve(args: argparse.Namespace) -> PipelineConfig:
@@ -137,9 +136,6 @@ def _output(path: str | Path | None, directory: bool = False) -> Path | None:
 def cmd_synth(args: argparse.Namespace) -> _Result:
     given = vars(args)  # only the flags given: SynthConfig holds the defaults
     values = {f.name: given[f.name] for f in dataclasses.fields(synth.SynthConfig) if f.name in given}
-    if "band_low" in given or "band_high" in given:
-        low, high = synth.SynthConfig.signature_band_hz
-        values["signature_band_hz"] = (given.get("band_low", low), given.get("band_high", high))
     if given.get("raw_256hz"):
         if "sample_rate_hz" in given:
             raise ConfigError("--raw-256hz cannot be combined with --rate")
@@ -308,11 +304,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk", argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output directory for manifest + CSVs")
     for f in dataclasses.fields(synth.SynthConfig):
-        if f.metadata:
-            flag, keywords = option_flag(f)
-            p.add_argument(flag, **keywords)
-    p.add_argument("--band-low", type=float)
-    p.add_argument("--band-high", type=float)
+        add_option(p, f)
     p.add_argument("--raw-256hz", action="store_true", help="generate at 256 Hz to exercise conditioning")
     p.set_defaults(func=cmd_synth)
 

@@ -154,12 +154,12 @@ SECTIONS = tuple(dict.fromkeys(f.metadata["section"] for f in _OPTIONS.values())
 _SCALARS = {"int": int, "float": float, "float | None": float, "tuple[float, ...]": float, "str": str}
 
 
-def option_flag(f: Field) -> tuple[str, dict]:
-    """The CLI flag of config field ``f`` and its add_argument keywords."""
+def add_option(parser, f: Field) -> None:
+    """Add config field ``f``'s CLI flag, with its add_argument keywords, to argparse ``parser``."""
     keywords = {"dest": f.name, **f.metadata["argparse"]}
     if f.type != "bool":  # a bool flag takes no value
         keywords["type"] = _SCALARS[f.type]
-    return f.metadata["flag"] or "--" + f.name.replace("_", "-"), keywords
+    parser.add_argument(f.metadata["flag"] or "--" + f.name.replace("_", "-"), **keywords)
 
 
 def _coerce(name: str, raw: str):
@@ -226,7 +226,7 @@ __all__ = [
     "PipelineConfig",
     "SECTIONS",
     "option",
-    "option_flag",
+    "add_option",
     "load_config_file",
     "resolve_config",
 ]

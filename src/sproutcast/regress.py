@@ -306,11 +306,9 @@ def fit_arrays(
     trees: list[Tree] = []
     for _ in range(spec.n_trees):
         np.subtract(y, pred, out=search.residual)
-        rows, held = np.arange(n), np.arange(0)
-        if spec.subsample < 1.0:
-            m = max(1, int(round(spec.subsample * n)))
-            perm = rng.permutation(n)
-            rows, held = np.sort(perm[:m]), perm[m:]
+        m = max(1, int(round(spec.subsample * n)))
+        perm = rng.permutation(n)
+        rows, held = np.sort(perm[:m]), perm[m:]
         nodes: list[tuple] = []
         search.grow(nodes, rows, search.root(rows), held)
         trees.append(Tree(*(np.asarray(col, dtype=dtype) for col, dtype in zip(zip(*nodes), _TREE_ARRAYS.values()))))

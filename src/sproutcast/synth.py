@@ -11,7 +11,7 @@ index); generation order cannot change the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from datetime import date, timedelta
 
 import numpy as np
@@ -25,6 +25,7 @@ _N_CARRIERS = 4
 _BURSTS_PER_DAY = 3
 _BURST_SECONDS = 7200.0
 _START_DAY = date(2023, 10, 1)
+_BAND_EDGES = ("signature_band_low_hz", "signature_band_high_hz")
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,8 @@ class SynthConfig:
     days_min: int = option(40, "synth")
     days_max: int = option(80, "synth")
     sample_rate_hz: float = option(1.0, "synth", "--rate", help="sample rate in Hz")
-    signature_band_hz: tuple[float, float] = (0.01, 0.05)  # --band-low and --band-high
+    signature_band_low_hz: float = option(0.01, "synth", "--band-low")
+    signature_band_high_hz: float = option(0.05, "synth", "--band-high")
     signature_onset_days_before: int = option(20, "synth", "--onset", help="signature onset, days before sprouting")
     signature_gain: float = option(4.0, "synth", "--gain")
     noise_std: float = option(0.3, "synth")
@@ -41,15 +43,20 @@ class SynthConfig:
     storage_temp_c: int = option(8, "synth", "--temp", help="storage temperature to record (C)")
     seed: int = option(7, "synth")
     label: str = option("", "synth", help="dataset label (default: synthetic-seed<seed>)")
+    # both edges as one (low, high) pair, in place of the two fields; perfbench's checks build the config so
+    signature_band_hz: InitVar[tuple[float, float] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, signature_band_hz) -> None:
+        for name, edge in zip(_BAND_EDGES, signature_band_hz or (), strict=signature_band_hz is not None):
+            if getattr(self, name) != getattr(SynthConfig, name):
+                raise ConfigError("give the signature band as one (low, high) pair or as two edges, not both")
+            object.__setattr__(self, name, edge)
         check_bounds(self)
         if not self.label:
             object.__setattr__(self, "label", f"synthetic-seed{self.seed}")
         if self.days_min > self.days_max:
             raise ConfigError("need days_min <= days_max")
-        low, high = self.signature_band_hz
-        if not 0 < low < high < self.sample_rate_hz / 2:
+        if not 0 < self.signature_band_low_hz < self.signature_band_high_hz < self.sample_rate_hz / 2:
             raise ConfigError("signature band must satisfy 0 < low < high < rate/2")
         self.samples_per_day  # raises ConfigError unless a day is a whole number of samples
 
@@ -90,17 +97,14 @@ def generate_recording(cfg: SynthConfig, index: int) -> Recording:
     if cfg.noise_std > 0:
         signal += rng.normal(0.0, cfg.noise_std, n)
 
-    low, high = cfg.signature_band_hz
-    freqs = np.exp(rng.uniform(np.log(low), np.log(high), _N_CARRIERS))
+    freqs = np.exp(rng.uniform(np.log(cfg.signature_band_low_hz), np.log(cfg.signature_band_high_hz), _N_CARRIERS))
     phases = rng.uniform(0.0, 2.0 * np.pi, _N_CARRIERS)
     gate = _daily_burst_gate(cfg, rng)
 
     if cfg.signature_gain > 0:
-        first_day = max(0, sprout_day - cfg.signature_onset_days_before)
-        for day in range(first_day, sprout_day):
-            ramp = (day - (sprout_day - cfg.signature_onset_days_before)) / cfg.signature_onset_days_before
-            if ramp <= 0:
-                continue
+        onset_day = sprout_day - cfg.signature_onset_days_before  # the ramp is zero here and rises after it
+        for day in range(max(0, onset_day + 1), sprout_day):
+            ramp = (day - onset_day) / cfg.signature_onset_days_before
             sl = slice(day * spd, (day + 1) * spd)
             carrier = np.zeros(spd)
             for f, ph in zip(freqs, phases):

@@ -810,7 +810,7 @@ def test_synth_flags_reach_synth_config_and_keep_its_defaults():
     fields = {f.name for f in dataclasses.fields(SynthConfig)}
     synth = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["synth"]
     dests = {a.dest for a in synth._actions if not isinstance(a, argparse._HelpAction)}
-    assert dests - fields == {"out", "band_low", "band_high", "raw_256hz"}
+    assert dests - fields == {"out", "raw_256hz"}
     # a flag not given leaves no value behind, so SynthConfig's defaults are the only ones
     given = vars(build_parser().parse_args(["synth", "--out", "d"]))
     assert set(given) == {"command", "func", "out"}
@@ -831,6 +831,14 @@ def test_synth_refuses_raw_256hz_with_a_rate(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["synth", "--out", str(out), "--rate", "1", "--raw-256hz"]) == 3
     assert capsys.readouterr().err == "error[3]: --raw-256hz cannot be combined with --rate\n"
+    assert not out.exists()
+
+
+def test_synth_band_edge_not_given_keeps_its_default(tmp_path, capsys):
+    # the high edge stays 0.05 Hz, above the 0.00625 Hz Nyquist limit of --rate 0.0125
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--rate", "0.0125", "--band-low", "0.0008"]) == 3
+    assert capsys.readouterr().err == "error[3]: signature band must satisfy 0 < low < high < rate/2\n"
     assert not out.exists()
 
 

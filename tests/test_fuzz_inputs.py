@@ -180,7 +180,7 @@ def report(tmp_path_factory):
     """A report written by a real leave-one-out run; returns its directory and JSON."""
     base = tmp_path_factory.mktemp("report")
     recordings = iter_recordings(SynthConfig(n_subjects=3, days_min=12, days_max=13, sample_rate_hz=RATE,
-                                             signature_band_hz=(0.0008, 0.004), seed=5))
+                                             signature_band_low_hz=0.0008, signature_band_high_hz=0.004, seed=5))
     cfg = PipelineConfig(target_hz=RATE, scales=4, n_trees=4, max_depth=2, min_samples_leaf=2)
     path = write_report(compute_metrics(loo_cv(build_dataset(recordings, cfg), cfg), cfg, label="fuzz"), base / "report.json")
     return base, json.loads(path.read_text())

@@ -4,7 +4,7 @@ import pytest
 from sproutcast.synth import SynthConfig, generate_recording, iter_recordings
 
 
-FAST = dict(sample_rate_hz=1 / 90, signature_band_hz=(0.0008, 0.004))
+FAST = dict(sample_rate_hz=1 / 90, signature_band_low_hz=0.0008, signature_band_high_hz=0.004)
 
 
 def test_same_seed_bit_identical():
@@ -86,11 +86,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(days_min=10, days_max=5)
     with pytest.raises(ValueError):
-        SynthConfig(signature_band_hz=(0.2, 0.6))  # above Nyquist at 1 Hz
+        SynthConfig(signature_band_low_hz=0.2, signature_band_high_hz=0.6)  # above Nyquist at 1 Hz
     with pytest.raises(ValueError):
         SynthConfig(signature_gain=-1.0)
     with pytest.raises(ValueError):
         SynthConfig(n_subjects=0)
+
+
+def test_band_pair_sets_both_edges_and_nothing_else():
+    assert SynthConfig(signature_band_hz=(0.02, 0.03)) == SynthConfig(signature_band_low_hz=0.02, signature_band_high_hz=0.03)
+    for pair in ((0.02,), (0.02, 0.03, 0.04)):
+        with pytest.raises(ValueError, match="zip"):
+            SynthConfig(signature_band_hz=pair)
+    with pytest.raises(ValueError, match="as one .* pair or as two edges, not both"):
+        SynthConfig(signature_band_hz=(0.02, 0.03), signature_band_high_hz=0.04)
 
 
 def test_raw_256hz_survives_conditioning_chain():
