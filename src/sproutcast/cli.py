@@ -217,6 +217,8 @@ def cmd_train(args: argparse.Namespace) -> _Result:
 
 def cmd_predict(args: argparse.Namespace) -> _Result:
     cfg = _resolve(args)
+    if args.observe_day is not None and not np.isfinite(args.observe_day):
+        raise ConfigError(f"--observe-day must be finite, got {args.observe_day!r}")
     out = _output(args.out)
     model = load_model(args.model)
     expected_layout = layout_version(cfg.scales, cfg.time_domain)

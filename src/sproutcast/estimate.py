@@ -37,7 +37,6 @@ class WindowEstimate:
 @dataclass(frozen=True)
 class SubjectEstimate:
     subject_id: str
-    observation_day: float
     d_hat: float
     n_windows_used: int
     fallback_used: bool
@@ -106,7 +105,6 @@ def aggregate(estimates: list[WindowEstimate], observation_day: float) -> Subjec
     retained = [e for e in observable if e.retained]
     return SubjectEstimate(
         subject_id=observable[0].subject_id,
-        observation_day=observation_day,
         d_hat=float(np.mean([e.d_hat for e in retained])) if retained else fallback_window(observable).d_hat,
         n_windows_used=len(retained) or 1,
         fallback_used=not retained,

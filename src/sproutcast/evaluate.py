@@ -29,14 +29,12 @@ class FoldResult:
     """Outcome of one leave-one-out fold."""
 
     held_out_subject: str
-    per_window: list[tuple[float, float]]
     window_estimates: list[WindowEstimate]
     subject_estimate: SubjectEstimate
     mae_j: float
     esd_j: float
     baseline_mae_j: float
     true_day: int
-    observation_day: float
 
 
 @dataclass(frozen=True)
@@ -65,6 +63,8 @@ _REPORT_FIELDS = {
 _TLAG_FIELDS = {"t_lag": int, "mean_esd": _OPTIONAL_NUMBER, "n_subjects": int}
 _CALIBRATION_BIN_FIELDS = {"y_hat_center": NUMBER, "e_y": NUMBER, "std_y": NUMBER, "count": int, "low_support": bool}
 _VARIANCE_FIELDS = {"var_y": NUMBER, "var_y_hat": NUMBER, "e_var_y_given_y_hat": NUMBER}
+# a calibration bin of fewer predictions is flagged low_support
+_MIN_SUPPORT = 10
 
 
 def _run_fold(data: ExampleSet, cfg: PipelineConfig, fold: int) -> FoldResult:
@@ -77,7 +77,6 @@ def _run_fold(data: ExampleSet, cfg: PipelineConfig, fold: int) -> FoldResult:
     subject_estimate = aggregate(estimates, observation_day=true_day)
 
     y_test = data.y[test]
-    per_window = [(float(yy), e.y_hat) for yy, e in zip(y_test, estimates)]
     if subject_estimate.fallback_used:
         best = fallback_window([e for e in estimates if e.day_offset < true_day])
         scored = [e is best for e in estimates]
@@ -88,14 +87,12 @@ def _run_fold(data: ExampleSet, cfg: PipelineConfig, fold: int) -> FoldResult:
     baseline_mae_j = float(np.mean(np.abs(y_test - baseline)))
     return FoldResult(
         held_out_subject=held_out,
-        per_window=per_window,
         window_estimates=estimates,
         subject_estimate=subject_estimate,
         mae_j=mae_j,
         esd_j=abs(subject_estimate.d_hat - true_day),
         baseline_mae_j=baseline_mae_j,
         true_day=true_day,
-        observation_day=float(true_day),
     )
 
 
@@ -126,13 +123,12 @@ def loo_cv(data: ExampleSet, cfg: PipelineConfig | None = None) -> list[FoldResu
     return [_run_fold(data, cfg, fold) for fold in folds]
 
 
-def tlag_sweep(folds: list[FoldResult], lags: range | None = None) -> list[dict]:
+def tlag_sweep(folds: list[FoldResult], lags: range) -> list[dict]:
     """Mean ESD when estimation stops t_lag days relative to true sprouting.
 
     Subjects with no observable window at a lag are excluded from that
     lag's mean and counted in ``n_subjects``.
     """
-    lags = lags if lags is not None else range(PipelineConfig.tlag_min, PipelineConfig.tlag_max + 1)
     curve = []
     for lag in lags:
         errors = []
@@ -152,11 +148,21 @@ def _groups(keys, values) -> tuple[np.ndarray, list[np.ndarray]]:
     return distinct, np.split(np.asarray(values)[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
 
 
+def _bin_keys(y_hat: np.ndarray, bin_width: float) -> np.ndarray:
+    """Each prediction's fixed-width bin, floor(y_hat / bin_width), as a whole float."""
+    if not bin_width > 0:
+        raise ValueError("bin_width must be positive")
+    with np.errstate(over="ignore"):
+        keys = np.floor(y_hat / bin_width)
+    if not np.isfinite(keys).all():
+        raise ValueError(f"bin width {bin_width!r} is too small: y_hat / bin width overflows")
+    return keys
+
+
 def calibration_curves(
     folds: list[FoldResult],
     bin_width: float = PipelineConfig.calibration_bin_width,
     rolling_n: int = PipelineConfig.rolling_n,
-    min_support: int = 10,
 ) -> dict:
     """Binned E[Y|Y_hat] and Std(Y|Y_hat) over rolling-meaned daily predictions.
 
@@ -166,8 +172,6 @@ def calibration_curves(
     the internal days-until (>= 0) convention; the CSV writer negates for
     display.
     """
-    if not bin_width > 0:
-        raise ValueError("bin_width must be positive")
     pooled_y: list[np.ndarray] = []
     pooled_pred: list[np.ndarray] = []
     for fr in folds:  # each subject's mean prediction per day, days ascending
@@ -178,8 +182,8 @@ def calibration_curves(
     y = np.concatenate(pooled_y)
     y_hat = np.concatenate(pooled_pred)
     bins = []
-    for b, y_b in zip(*_groups(np.floor(y_hat / bin_width), y)):
-        row = (float((b + 0.5) * bin_width), float(y_b.mean()), float(y_b.std()), len(y_b), len(y_b) < min_support)
+    for b, y_b in zip(*_groups(_bin_keys(y_hat, bin_width), y)):
+        row = (float((b + 0.5) * bin_width), float(y_b.mean()), float(y_b.std()), len(y_b), len(y_b) < _MIN_SUPPORT)
         bins.append(dict(zip(_CALIBRATION_BIN_FIELDS, row)))
     return {"bin_width": bin_width, "rolling_n": rolling_n, "bins": bins}
 
@@ -193,7 +197,7 @@ def variance_decomposition(y, y_hat, bin_width: float | None = None) -> dict:
     """
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
-    _, groups = _groups(y_hat if bin_width is None else np.floor(y_hat / bin_width), y)
+    _, groups = _groups(y_hat if bin_width is None else _bin_keys(y_hat, bin_width), y)
     e_var = sum(len(y_g) / len(y) * float(y_g.var()) for y_g in groups)
     return dict(zip(_VARIANCE_FIELDS, (float(y.var()), float(y_hat.var()), e_var)))
 
@@ -211,9 +215,9 @@ def compute_metrics(
     esds = np.array([fr.esd_j for fr in folds])
     percentiles = np.arange(0, 101)
     esd_curve = np.percentile(esds, percentiles)
-    pooled = [(yy, yh) for fr in folds for yy, yh in fr.per_window]
-    pooled_y = np.array([p[0] for p in pooled])
-    pooled_yhat = np.array([p[1] for p in pooled])
+    # every held-out window's target, by calibration_curves' rule, and its prediction
+    pooled_y = np.array([float(fr.true_day - e.day_offset) for fr in folds for e in fr.window_estimates])
+    pooled_yhat = np.array([e.y_hat for fr in folds for e in fr.window_estimates])
     per_subject = [
         {
             "subject_id": fr.held_out_subject,
@@ -234,9 +238,7 @@ def compute_metrics(
         esd_percentiles=[(float(p), float(v)) for p, v in zip(percentiles, esd_curve)],
         tlag_curve=tlag_sweep(folds, range(cfg.tlag_min, cfg.tlag_max + 1)),
         calibration=calibration_curves(folds, cfg.calibration_bin_width, cfg.rolling_n),
-        variance_decomposition=variance_decomposition(
-            pooled_y, pooled_yhat, cfg.calibration_bin_width
-        ),
+        variance_decomposition=variance_decomposition(pooled_y, pooled_yhat, cfg.calibration_bin_width),
         per_subject=per_subject,
         n_subjects=len(folds),
         fallback_count=sum(fr.subject_estimate.fallback_used for fr in folds),

@@ -491,7 +491,6 @@ class Manifest:
     """A checked manifest: its label, and per subject its entry as the JSON
     holds it, the fields of its Recording (all but the samples) and its CSV."""
 
-    path: Path
     label: str
     entries: list[dict]
     fields: list[dict]
@@ -545,7 +544,7 @@ def load_manifest(manifest_path: str | Path, labelled: bool = False) -> Manifest
     if labelled and missing:
         raise IngestError(f"recordings without sprouting_day: {', '.join(sorted(missing))}")
     label = manifest.get("label", manifest_path.stem)
-    return Manifest(manifest_path, label, manifest["subjects"], recording_fields, signal_paths)
+    return Manifest(label, manifest["subjects"], recording_fields, signal_paths)
 
 
 def iter_recordings(manifest: Manifest) -> Iterator[Recording]:

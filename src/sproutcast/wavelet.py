@@ -36,7 +36,6 @@ class ScalePlan:
     frequencies_hz: np.ndarray
     scales: np.ndarray
     omega0: float
-    sample_rate_hz: float
     window_len: int
 
 
@@ -81,7 +80,6 @@ def plan_scales(
         frequencies_hz=frequencies,
         scales=scales,
         omega0=omega0,
-        sample_rate_hz=sample_rate_hz,
         window_len=int(window_len),
     )
 

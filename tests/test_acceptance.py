@@ -190,7 +190,7 @@ def test_criterion_07_loo_leakage_and_two_level_mae():
     for j, fold in enumerate(folds):
         assert fold.held_out_subject == ids[j]
         assert fold.held_out_subject not in {ids[g] for g in set(groups[groups != j])}
-        assert len(fold.per_window) == int((groups == j).sum())
+        assert len(fold.window_estimates) == int((groups == j).sum())
 
     from test_evaluate import manual_fold
 
@@ -217,14 +217,12 @@ def test_criterion_08_calibration_identities(rng):
     ]
     const_fold = FoldResult(
         held_out_subject="c",
-        per_window=[(float(d_true - d), y_mean) for d in range(d_true)],
         window_estimates=const_estimates,
-        subject_estimate=SubjectEstimate("c", float(d_true), d_true - 0.0, d_true, False),
+        subject_estimate=SubjectEstimate("c", d_true - 0.0, d_true, False),
         mae_j=0.0,
         esd_j=0.0,
         baseline_mae_j=0.0,
         true_day=d_true,
-        observation_day=float(d_true),
     )
     const_table = calibration_curves([const_fold], bin_width=5.0, rolling_n=7)
     assert len(const_table["bins"]) == 1

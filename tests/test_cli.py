@@ -945,6 +945,29 @@ def test_evaluate_flags_reach_config(synth_dir, tmp_path, capsys):
     assert "rolling_n" in capsys.readouterr().err
 
 
+def test_evaluate_refuses_a_bin_width_whose_bin_index_overflows(synth_dir, config_file, tmp_path, capsys):
+    # positive and finite, so the config takes it; any prediction above 2e-12 days divided by it overflows
+    out = tmp_path / "r.json"
+    code = main(["evaluate", "--manifest", str(synth_dir / "manifest.json"), "--out", str(out),
+                 "--config", str(config_file), "--bin-width", "1e-320"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error[3]: bin width 1e-320 is too small")
+    assert not out.exists() and not (tmp_path / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize("day", ["nan", "inf", "-inf"])
+def test_predict_refuses_a_non_finite_observe_day(day, tmp_path, capsys):
+    # neither the model nor the manifest exists: the day must be refused before either is read
+    out = tmp_path / "p.json"
+    code = main(["predict", "--model", str(tmp_path / "model.json"), "--manifest", str(tmp_path / "m.json"),
+                 f"--observe-day={day}", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error[3]: --observe-day must be finite, got {day}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def model_payload(tmp_path_factory):
     """A real single-model file, trained once for the corruption cases."""

@@ -51,37 +51,30 @@ def oracle_fold(subject, d_true, retained=None):
     d_hat = float(np.mean([e.d_hat for e in kept]))
     return FoldResult(
         held_out_subject=subject,
-        per_window=[(float(d_true - d), float(d_true - d)) for d in range(d_true)],
         window_estimates=estimates,
-        subject_estimate=SubjectEstimate(subject, float(d_true), d_hat, len(kept), False),
+        subject_estimate=SubjectEstimate(subject, d_hat, len(kept), False),
         mae_j=0.0,
         esd_j=abs(d_hat - d_true),
         baseline_mae_j=1.0,
         true_day=d_true,
-        observation_day=float(d_true),
     )
 
 
 def manual_fold(subject, d_true, errors):
     """A fold with chosen per-window signed errors; everything else derived."""
     estimates = []
-    per_window = []
     for d, err in enumerate(errors):
-        y = float(d_true - d)
-        y_hat = y + err
+        y_hat = float(d_true - d) + err
         estimates.append(WindowEstimate(subject, d + 1, d, y_hat, d + y_hat, None, True))
-        per_window.append((y, y_hat))
     d_hat = float(np.mean([e.d_hat for e in estimates]))
     return FoldResult(
         held_out_subject=subject,
-        per_window=per_window,
         window_estimates=estimates,
-        subject_estimate=SubjectEstimate(subject, float(d_true), d_hat, len(estimates), False),
+        subject_estimate=SubjectEstimate(subject, d_hat, len(estimates), False),
         mae_j=float(np.mean(np.abs(errors))),
         esd_j=abs(d_hat - d_true),
         baseline_mae_j=float(np.mean(np.abs(errors))) + 1.0,
         true_day=d_true,
-        observation_day=float(d_true),
     )
 
 
@@ -91,7 +84,7 @@ def test_loo_fold_protocol():
     assert len(folds) == 3
     assert [f.held_out_subject for f in folds] == ["p0", "p1", "p2"]
     for fold in folds:
-        assert len(fold.per_window) == fold.true_day
+        assert len(fold.window_estimates) == fold.true_day
         assert fold.esd_j == abs(fold.subject_estimate.d_hat - fold.true_day)
 
 
@@ -213,14 +206,12 @@ def test_calibration_constant_predictor():
     ]
     fold = FoldResult(
         held_out_subject="c",
-        per_window=[(float(d_true - d), float(y_mean)) for d in range(d_true)],
         window_estimates=estimates,
-        subject_estimate=SubjectEstimate("c", float(d_true), float(np.mean([e.d_hat for e in estimates])), d_true, False),
+        subject_estimate=SubjectEstimate("c", float(np.mean([e.d_hat for e in estimates])), d_true, False),
         mae_j=0.0,
         esd_j=0.0,
         baseline_mae_j=0.0,
         true_day=d_true,
-        observation_day=float(d_true),
     )
     table = calibration_curves([fold], bin_width=5.0, rolling_n=7)
     assert len(table["bins"]) == 1
@@ -241,6 +232,24 @@ def test_calibration_bins_each_prediction_at_a_tiny_bin_width():
 def test_variance_decomposition_at_a_tiny_bin_width():
     y = np.arange(5.0)
     assert variance_decomposition(y, y, 1e-300)["e_var_y_given_y_hat"] == 0.0
+
+
+@pytest.mark.parametrize("scorer", ["calibration_curves", "variance_decomposition"])
+def test_a_bin_width_whose_bin_index_overflows_is_refused(scorer):
+    # 1 / 1e-320 is above the float range: the bin index of every prediction but 0 overflows
+    with pytest.raises(ValueError, match=r"^bin width 1e-320 is too small"):
+        if scorer == "calibration_curves":
+            calibration_curves([oracle_fold("s", 5)], bin_width=1e-320, rolling_n=1)
+        else:
+            variance_decomposition(np.arange(5.0), np.arange(5.0), 1e-320)
+
+
+def test_fold_targets_are_the_example_set_targets():
+    # compute_metrics pools each held-out window's target as true_day - day_offset
+    data = build_dataset(tiny_dataset(3), CFG)
+    for j, fold in enumerate(loo_cv(data, CFG)):
+        targets = [float(fold.true_day - e.day_offset) for e in fold.window_estimates]
+        assert targets == data.y[data.groups == j].tolist()
 
 
 def test_variance_decomposition_exact_and_binned(rng):
@@ -327,7 +336,7 @@ def test_fallback_fold_scores_the_tightest_window():
     for fold in loo_cv(build_dataset(ds, cfg), cfg):
         assert fold.subject_estimate.fallback_used
         observable = [
-            (e, y) for e, (y, _) in zip(fold.window_estimates, fold.per_window) if e.day_offset < fold.true_day
+            (e, float(fold.true_day - e.day_offset)) for e in fold.window_estimates if e.day_offset < fold.true_day
         ]
         best, y = min(observable, key=lambda pair: (pair[0].ci_halfwidth, pair[0].window_index))
         assert fold.subject_estimate.d_hat == best.d_hat

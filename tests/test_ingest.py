@@ -104,7 +104,8 @@ def test_iter_recordings_reads_one_csv_per_step(tmp_path, monkeypatch):
     subjects = [subject_entry(tmp_path, f"p{i}", n=10 + i) for i in range(3)]
     subjects[1].pop("sprouting_day")
     _no_csv_read(monkeypatch)
-    manifest = load_manifest(write_manifest(tmp_path, subjects))
+    path = write_manifest(tmp_path, subjects)
+    manifest = load_manifest(path)
     assert manifest.label == "ds" and manifest.entries == subjects
     monkeypatch.undo()
     read = []
@@ -112,7 +113,7 @@ def test_iter_recordings_reads_one_csv_per_step(tmp_path, monkeypatch):
     for i, rec in enumerate(iter_recordings(manifest)):
         assert read == [f"p{j}.csv" for j in range(i + 1)]
         assert (rec.subject_id, len(rec.samples)) == (f"p{i}", 10 + i)
-    assert [rec.subject_id for rec in read_corpus(manifest.path)] == ["p0", "p1", "p2"]
+    assert [rec.subject_id for rec in read_corpus(path)] == ["p0", "p1", "p2"]
 
 
 def test_mixed_variety_composition_64_subjects(tmp_path):
