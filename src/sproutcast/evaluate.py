@@ -69,29 +69,27 @@ _MIN_SUPPORT = 10
 
 def _run_fold(data: ExampleSet, cfg: PipelineConfig, fold: int) -> FoldResult:
     train = data.groups != fold
-    test = ~train
     held_out = data.subject_ids()[fold]
     model = fit_config(data.x[train], data.y[train], replace(cfg, seed=cfg.seed + fold), data.layout)
-    estimates = window_estimates(model, [data.features[i] for i in np.flatnonzero(test)], cfg.uq_th)
-    true_day = data.true_day[held_out]
-    subject_estimate = aggregate(estimates, observation_day=true_day)
+    estimates = window_estimates(model, [data.features[i] for i in np.flatnonzero(~train)], cfg.uq_th)
+    return _score_fold(held_out, estimates, data.true_day[held_out], float(np.mean(data.y[train])))
 
-    y_test = data.y[test]
+
+def _score_fold(held_out: str, estimates: list[WindowEstimate], true_day: int, train_mean: float) -> FoldResult:
+    """Score a fold from its window estimates alone, each target ``true_day - day_offset``: MAE over the
+    windows its estimate trusts, baseline MAE of every window against the training subjects' mean."""
+    subject_estimate = aggregate(estimates, observation_day=true_day)
     if subject_estimate.fallback_used:
-        best = fallback_window([e for e in estimates if e.day_offset < true_day])
-        scored = [e is best for e in estimates]
+        scored = [fallback_window([e for e in estimates if e.day_offset < true_day])]
     else:
-        scored = [e.retained for e in estimates]
-    mae_j = float(np.mean([abs(e.y_hat - yy) for yy, e, s in zip(y_test, estimates, scored) if s]))
-    baseline = float(np.mean(data.y[train]))
-    baseline_mae_j = float(np.mean(np.abs(y_test - baseline)))
+        scored = [e for e in estimates if e.retained]
     return FoldResult(
         held_out_subject=held_out,
         window_estimates=estimates,
         subject_estimate=subject_estimate,
-        mae_j=mae_j,
+        mae_j=float(np.mean([abs(e.y_hat - (true_day - e.day_offset)) for e in scored])),
         esd_j=abs(subject_estimate.d_hat - true_day),
-        baseline_mae_j=baseline_mae_j,
+        baseline_mae_j=float(np.mean([abs(true_day - e.day_offset - train_mean) for e in estimates])),
         true_day=true_day,
     )
 

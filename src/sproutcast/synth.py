@@ -58,11 +58,21 @@ class SynthConfig:
             raise ConfigError("need days_min <= days_max")
         if not 0 < self.signature_band_low_hz < self.signature_band_high_hz < self.sample_rate_hz / 2:
             raise ConfigError("signature band must satisfy 0 < low < high < rate/2")
-        self.samples_per_day  # raises ConfigError unless a day is a whole number of samples
+        burst = self.burst_samples  # samples_per_day raises ConfigError unless a day is a whole number of samples
+        if burst < 3 and self.signature_gain > 0:  # np.hanning(2) is [0, 0]: the burst would plant nothing
+            raise ConfigError(
+                f"sample_rate_hz {self.sample_rate_hz} gives a signature burst of {burst} samples; "
+                "a signature needs at least 3 (or signature_gain 0)"
+            )
 
     @property
     def samples_per_day(self) -> int:
         return window_width(SECONDS_PER_DAY, self.sample_rate_hz, ("seconds per day", "sample_rate_hz"))
+
+    @property
+    def burst_samples(self) -> int:
+        """Samples in one daily signature burst: 7200 s, at least 2 and at most a day."""
+        return min(max(2, int(round(_BURST_SECONDS * self.sample_rate_hz))), self.samples_per_day)
 
 
 def _subject_rng(seed: int, index: int) -> np.random.Generator:
@@ -73,8 +83,7 @@ def _subject_rng(seed: int, index: int) -> np.random.Generator:
 def _daily_burst_gate(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     """One day's burst envelope (fixed per subject, repeated every day)."""
     spd = cfg.samples_per_day
-    burst_len = max(2, int(round(_BURST_SECONDS * cfg.sample_rate_hz)))
-    burst_len = min(burst_len, spd)
+    burst_len = cfg.burst_samples
     gate = np.zeros(spd)
     window = np.hanning(burst_len)
     starts = rng.integers(0, spd - burst_len + 1, size=_BURSTS_PER_DAY)

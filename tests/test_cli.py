@@ -313,6 +313,18 @@ def test_negative_env_seed_exits_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error[3]: seed must be at least 0, got -1\n"
 
 
+def test_synth_refuses_a_rate_whose_bursts_plant_nothing(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    argv = ["synth", "--out", str(out), "--subjects", "2", "--rate", repr(1 / 3600),
+            "--band-low", "0.00001", "--band-high", "0.0001", "--noise-std", "0", "--drift", "0"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error[3]: sample_rate_hz 0.0002777777777777778 gives a signature burst of 2 samples; "
+        "a signature needs at least 3 (or signature_gain 0)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_predict_rejects_layout_mismatch(synth_dir, config_file, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     assert (
@@ -1443,3 +1455,22 @@ def test_peak_memory_does_not_grow_with_the_subject_count(tmp_path):
         peaks[n] = _peak_rss_mib(argv, tmp_path / f"first{n}.log")
     one_subject = days * 86400 * 8 / 2**20
     assert abs(peaks[6] - peaks[2]) < one_subject, peaks
+
+
+def test_resolve_config_refuses_an_unknown_option():
+    with pytest.raises(ConfigError, match="no_such_option"):
+        resolve_config(None, {"no_such_option": 1})
+
+
+def test_platform_without_glibc_names_no_libc(monkeypatch):
+    def no_glibc(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "confstr", no_glibc)
+    system = os.uname()
+    assert cli._platform() == f"{system.sysname}-{system.release}-{system.machine}"
+
+
+def test_scipy_version_is_none_without_scipy(monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    assert cli._scipy_version() is None

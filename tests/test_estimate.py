@@ -153,3 +153,9 @@ def test_rolling_mean_validation():
     with pytest.raises(ValueError):
         rolling_mean([1.0], 0)
     assert rolling_mean([], 3).size == 0
+
+
+def test_no_windows_give_no_estimates():
+    assert window_estimates(constant_model(3.0), []) == []
+    with pytest.raises(ValueError, match="^no window estimates to aggregate$"):
+        aggregate([], observation_day=10)

@@ -1,7 +1,7 @@
 import concurrent.futures
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -244,6 +244,15 @@ def test_a_bin_width_whose_bin_index_overflows_is_refused(scorer):
             variance_decomposition(np.arange(5.0), np.arange(5.0), 1e-320)
 
 
+@pytest.mark.parametrize("scorer", ["calibration_curves", "variance_decomposition"])
+def test_a_non_positive_bin_width_is_refused(scorer):
+    with pytest.raises(ValueError, match="^bin_width must be positive$"):
+        if scorer == "calibration_curves":
+            calibration_curves([oracle_fold("s", 5)], bin_width=0.0)
+        else:
+            variance_decomposition(np.arange(5.0), np.arange(5.0), 0.0)
+
+
 def test_fold_targets_are_the_example_set_targets():
     # compute_metrics pools each held-out window's target as true_day - day_offset
     data = build_dataset(tiny_dataset(3), CFG)
@@ -341,3 +350,38 @@ def test_fallback_fold_scores_the_tightest_window():
         best, y = min(observable, key=lambda pair: (pair[0].ci_halfwidth, pair[0].window_index))
         assert fold.subject_estimate.d_hat == best.d_hat
         assert fold.mae_j == abs(best.y_hat - y)
+
+
+def test_a_fold_rescores_from_its_record_alone():
+    # one ensemble LOO keeping every window, re-flagged at other thresholds and scored
+    # again, gives fold for fold what a separate LOO at each threshold gives
+    data = build_dataset(tiny_dataset(4, days=14), CFG)
+    cfg = replace(CFG, n_trees=8, learning_rate=0.3, min_samples_leaf=1, strategy="ensemble", uq_th=1e9, seed=1)
+    folds = loo_cv(data, cfg)
+    assert all(e.retained for fr in folds for e in fr.window_estimates)
+    train_means = [float(np.mean(data.y[data.groups != j])) for j in range(len(folds))]
+    for fr, train_mean in zip(folds, train_means):
+        assert evaluate._score_fold(fr.held_out_subject, fr.window_estimates, fr.true_day, train_mean) == fr
+
+    widths = sorted(2 * e.ci_halfwidth for fr in folds for e in fr.window_estimates)
+    # from every window kept to every subject falling back
+    thresholds = [widths[-1], widths[len(widths) // 2], widths[len(widths) // 5], widths[0] / 2]
+    fallbacks = []
+    for th in thresholds:
+        rescored = [
+            evaluate._score_fold(
+                fr.held_out_subject,
+                [replace(e, retained=2 * e.ci_halfwidth <= th) for e in fr.window_estimates],
+                fr.true_day,
+                train_mean,
+            )
+            for fr, train_mean in zip(folds, train_means)
+        ]
+        assert rescored == loo_cv(data, replace(cfg, uq_th=th))
+        fallbacks.append(sum(fr.subject_estimate.fallback_used for fr in rescored))
+    assert fallbacks[0] == 0 and fallbacks[-1] == len(folds)
+
+
+def test_no_folds_make_no_report():
+    with pytest.raises(ValueError, match="^no folds to aggregate$"):
+        compute_metrics([])

@@ -178,6 +178,17 @@ def test_block_reduction_rejects_non_finite_rows():
             _reduce_rows(np.array([[1.0, 2.0], [3.0, bad]]), 8)
 
 
+@pytest.mark.parametrize("block", [np.arange(4.0), np.empty((0, 4)), np.empty((2, 0))])
+def test_block_reduction_rejects_a_block_that_is_not_a_filled_matrix(block):
+    with pytest.raises(ValueError, match="^rows must be a non-empty 2-D block$"):
+        _reduce_rows(block, 8)
+
+
+def test_block_reduction_rejects_no_entropy_bins():
+    with pytest.raises(ValueError, match="^entropy_bins must be positive$"):
+        _reduce_rows(np.arange(8.0).reshape(2, 4), 0)
+
+
 def test_feature_count_is_14():
     assert FEATURES_PER_SCALE == 14
     assert len(FEATURE_NAMES) == 14

@@ -19,8 +19,8 @@ step keeps it as `summary.txt`.
 
 The digests hold for numpy 2.4.6 on x86-64 Linux.  A change that moves
 any of them changes the program's output: re-take the table on purpose
-(`PYTHONPATH=src python tests/test_golden.py` rewrites it) and say in CHANGES.md which
-entries moved and why.
+(`PYTHONPATH=src python tests/test_golden.py` rewrites it and prints each entry
+that moved, or `no entry moved`) and say in CHANGES.md which entries moved and why.
 """
 
 import contextlib
@@ -131,6 +131,20 @@ def digests(base: Path) -> dict[str, dict[str, str]]:
     return table
 
 
+def moved(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]]) -> list[str]:
+    """One line per step, or file within a step, that ``new`` adds, removes or changes from ``old``."""
+    lines = []
+    for step in sorted(old.keys() | new.keys()):
+        if (step in old) != (step in new):
+            lines.append(f"{'added' if step in new else 'removed'} {step}")
+            continue
+        for name in sorted(old[step].keys() | new[step].keys()):
+            before, after = old[step].get(name), new[step].get(name)
+            if before != after:
+                lines.append(f"{'added' if before is None else 'removed' if after is None else 'changed'} {step} {name}")
+    return lines or ["no entry moved"]
+
+
 GOLDEN = json.loads(TABLE.read_text())
 
 
@@ -150,6 +164,14 @@ def test_golden_outputs(step, golden_run):
     assert golden_run[1].get(step) == GOLDEN[step]
 
 
+def test_moved_names_each_entry_that_moved():
+    old = {"a": {"report.json": "1", "run_meta.json": "2"}, "b": {"model.json": "3"}}
+    new = {"a": {"curves/tlag.csv": "4", "report.json": "1", "run_meta.json": "9"}, "c": {"model.json": "3"}}
+    assert moved(old, new) == ["added a curves/tlag.csv", "changed a run_meta.json", "removed b", "added c"]
+    assert moved(new, {**new, "a": {"report.json": "1"}}) == ["removed a curves/tlag.csv", "removed a run_meta.json"]
+    assert moved(old, old) == ["no entry moved"]
+
+
 @pytest.mark.parametrize("strategy", ["single", "ensemble"])
 def test_golden_headline(strategy, golden_run):
     report = json.loads((golden_run[0] / f"lowrate-evaluate-{strategy}/report.json").read_text())
@@ -159,4 +181,6 @@ def test_golden_headline(strategy, golden_run):
 if __name__ == "__main__":  # re-take the table: an output change, to be named in CHANGES.md
     with tempfile.TemporaryDirectory() as tmp:
         run_every_command(Path(tmp))
-        TABLE.write_text(json.dumps(digests(Path(tmp)), indent=1, sort_keys=True) + "\n")
+        table = digests(Path(tmp))
+    print("\n".join(moved(GOLDEN, table)))
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

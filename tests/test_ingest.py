@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -505,3 +506,18 @@ def test_write_json_refuses_non_standard_numbers(tmp_path, value):
     with pytest.raises(ValueError, match="report.json"):
         ingest.write_json(path, {"ok": 1.0, "rows": [{"bad": value}]})
     assert not path.exists()
+
+
+def test_a_csv_of_no_samples_has_a_header_and_no_sidecar(tmp_path):
+    path = tmp_path / "s.csv"
+    write_signal_csv(path, np.empty(0), 1.0)
+    assert path.read_text() == CSV_HEADER + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+    with pytest.raises(IngestError, match="no samples after header$"):
+        read_signal_csv(path)
+
+
+def test_an_unlabelled_recording_has_no_sprouting_day_offset():
+    rec = make_recording("p0", days=2, rate=1 / 864)
+    assert rec.sprouting_day_offset == 2
+    assert dataclasses.replace(rec, sprouting_day=None).sprouting_day_offset is None

@@ -161,3 +161,13 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     code = "import sys, sproutcast.cli; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_downsample_refuses_a_target_rate_that_is_not_positive():
+    with pytest.raises(ValueError, match="^target_hz must be positive$"):
+        downsample(make_signal(np.arange(256.0), 256.0), 0.0)
+
+
+def test_notch_refuses_a_q_that_is_not_positive():
+    with pytest.raises(ValueError, match=r"^notch center 50.0 Hz and q 0.0 must be positive$"):
+        notch_filter(make_signal(np.arange(256.0), 256.0), 50.0, q=0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sproutcast.config import ConfigError
 from sproutcast.synth import SynthConfig, generate_recording, iter_recordings
 
 
@@ -91,6 +92,27 @@ def test_config_validation():
         SynthConfig(signature_gain=-1.0)
     with pytest.raises(ValueError):
         SynthConfig(n_subjects=0)
+
+
+# a band under the Nyquist frequency of hourly sampling; no noise or drift, so only the signature moves
+SLOW = dict(signature_band_low_hz=0.00001, signature_band_high_hz=0.0001, noise_std=0.0, drift_amplitude=0.0)
+
+
+@pytest.mark.parametrize("rate", [1 / 2880, 1 / 3600])
+def test_a_burst_too_short_to_plant_is_refused(rate):
+    # 7200 s is 2 samples at these rates, and np.hanning(2) is [0, 0]: every burst would be zero
+    with pytest.raises(ConfigError, match=r"^sample_rate_hz \S+ gives a signature burst of 2 samples; "):
+        SynthConfig(sample_rate_hz=rate, **SLOW)
+
+
+def test_three_sample_bursts_plant_a_signature():
+    cfg = SynthConfig(n_subjects=1, days_min=25, days_max=25, sample_rate_hz=1 / 2400, **SLOW)
+    assert np.abs(generate_recording(cfg, 0).samples).max() > 0
+
+
+def test_zero_gain_is_accepted_at_any_burst_length():
+    cfg = SynthConfig(n_subjects=1, days_min=3, days_max=3, sample_rate_hz=1 / 3600, signature_gain=0.0, **SLOW)
+    assert not generate_recording(cfg, 0).samples.any()
 
 
 def test_band_pair_sets_both_edges_and_nothing_else():

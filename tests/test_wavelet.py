@@ -167,3 +167,8 @@ def test_cwt_results_share_no_memory(rng):
     for buffer in (spectrum, work, kernel_ffts):
         assert not np.shares_memory(second, buffer)
     assert np.array_equal(first, kept)
+
+
+def test_plan_scales_refuses_a_rate_that_is_not_positive():
+    with pytest.raises(ValueError, match="^sample_rate_hz must be positive$"):
+        plan_scales(0.0, 64)
