@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +38,11 @@ EXIT_MISSING = 4
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # so "--flag -inf" or "--flag -1e3" is a value, not an unknown option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
     def error(self, message):  # single-line, machine-parseable usage errors
         print(f"error[{EXIT_USAGE}]: {self.prog}: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -184,8 +190,8 @@ def cmd_features(args: argparse.Namespace) -> _Result:
     manifest = load_manifest(args.manifest, labelled=True)
     scalograms: list[Path] = []
 
-    def dump(window, tw) -> None:  # each window's scalogram, in the featurizing pass
-        scalograms.append(scalogram_dir / f"{window.subject_id}_w{window.window_index:04d}.csv")
+    def dump(tw) -> None:  # each window's scalogram, in the featurizing pass
+        scalograms.append(scalogram_dir / f"{tw.window.subject_id}_w{tw.window.window_index:04d}.csv")
         with atomic_output(scalograms[-1]) as fh:
             np.savetxt(fh, tw.coefficients, delimiter=",", fmt="%.8g")
 

@@ -108,6 +108,8 @@ def loo_cv(data: ExampleSet, cfg: PipelineConfig | None = None) -> list[FoldResu
     for sid, m in data.m_per_subject.items():
         if not m:
             raise ValueError(f"subject {sid!r} contributed no windows; cannot evaluate")
+    # a bin width that cannot bin even the longest target is refused before any fit
+    _bin_keys(data.y.max(keepdims=True), cfg.calibration_bin_width)
     folds = range(len(data.true_day))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cfg.jobs, len(folds), cpus)
@@ -146,14 +148,14 @@ def _groups(keys, values) -> tuple[np.ndarray, list[np.ndarray]]:
     return distinct, np.split(np.asarray(values)[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
 
 
-def _bin_keys(y_hat: np.ndarray, bin_width: float) -> np.ndarray:
-    """Each prediction's fixed-width bin, floor(y_hat / bin_width), as a whole float."""
+def _bin_keys(values: np.ndarray, bin_width: float) -> np.ndarray:
+    """Each value's fixed-width bin, floor(value / bin_width), as a whole float."""
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     with np.errstate(over="ignore"):
-        keys = np.floor(y_hat / bin_width)
+        keys = np.floor(values / bin_width)
     if not np.isfinite(keys).all():
-        raise ValueError(f"bin width {bin_width!r} is too small: y_hat / bin width overflows")
+        raise ValueError(f"bin width {bin_width!r} is too small: a bin index overflows the float range")
     return keys
 
 

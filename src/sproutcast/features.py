@@ -17,7 +17,7 @@ import numpy as np
 
 from sproutcast.config import PipelineConfig
 from sproutcast.ingest import IngestError, Recording
-from sproutcast.preprocess import SignalWindow, condition, segment
+from sproutcast.preprocess import condition, segment
 from sproutcast.wavelet import ScalePlan, TransformedWindow, cwt, plan_scales
 
 
@@ -263,35 +263,26 @@ def extract_scale_features(coeffs: np.ndarray, entropy_bins: int = PipelineConfi
 
 
 def build_feature_vector(
-    tw: TransformedWindow,
-    plan: ScalePlan,
-    subject_id: str = "",
-    day_offset: int = 0,
-    entropy_bins: int = PipelineConfig.entropy_bins,
+    tw: TransformedWindow, plan: ScalePlan, entropy_bins: int = PipelineConfig.entropy_bins
 ) -> FeatureVector:
-    """Concatenate per-scale descriptors, scale-major, into one flat vector."""
+    """Concatenate per-scale descriptors, scale-major, into one flat vector stamped with tw's window."""
     coeffs = tw.coefficients
     if coeffs.shape[0] != plan.k:
         raise ValueError(f"transform has {coeffs.shape[0]} scales, plan expects {plan.k}")
-    values = _reduce_rows(coeffs, entropy_bins).ravel()
-    return FeatureVector(
-        subject_id=subject_id,
-        window_index=tw.window_index,
-        day_offset=day_offset,
-        values=values,
-    )
+    w = tw.window
+    return FeatureVector(w.subject_id, w.window_index, w.day_offset, _reduce_rows(coeffs, entropy_bins).ravel())
 
 
 def extract_subject_features(
     rec: Recording,
     cfg: PipelineConfig,
-    on_transform: Callable[[SignalWindow, TransformedWindow], None] | None = None,
+    on_transform: Callable[[TransformedWindow], None] | None = None,
 ) -> list[FeatureVector]:
     """Condition, segment and featurize one recording (no labels needed).
 
     Each window's |CWT| is dropped before the next one is made.  If given,
-    ``on_transform`` receives every window with its |CWT| first; the
-    transform is then made in time-domain mode too, where no feature uses it.
+    ``on_transform`` receives every window's transform first; the transform
+    is then made in time-domain mode too, where no feature uses it.
     """
     rec = condition(rec, cfg)
     windows = segment(rec, cfg.window_seconds)
@@ -302,12 +293,12 @@ def extract_subject_features(
     for w in windows:
         tw = cwt(w, plan) if plan is not None else None
         if on_transform is not None:
-            on_transform(w, tw)
+            on_transform(tw)
         if cfg.time_domain:
             values = _feature_row(w.samples, cfg.entropy_bins)
             vectors.append(FeatureVector(w.subject_id, w.window_index, w.day_offset, values))
         else:
-            vectors.append(build_feature_vector(tw, plan, w.subject_id, w.day_offset, cfg.entropy_bins))
+            vectors.append(build_feature_vector(tw, plan, cfg.entropy_bins))
         del tw
     return vectors
 
@@ -315,7 +306,7 @@ def extract_subject_features(
 def build_dataset(
     recordings: Iterable[Recording],
     cfg: PipelineConfig | None = None,
-    on_transform: Callable[[SignalWindow, TransformedWindow], None] | None = None,
+    on_transform: Callable[[TransformedWindow], None] | None = None,
 ) -> ExampleSet:
     """Assemble the supervised dataset over all labelled recordings.
 

@@ -41,9 +41,9 @@ class ScalePlan:
 
 @dataclass(frozen=True)
 class TransformedWindow:
-    """|CWT| magnitudes for one window: a (K, W) array, scale-major."""
+    """One window and its |CWT| magnitudes: a (K, W) array, scale-major."""
 
-    window_index: int
+    window: SignalWindow
     coefficients: np.ndarray
 
 
@@ -153,7 +153,7 @@ def cwt(window: SignalWindow, plan: ScalePlan) -> TransformedWindow:
         np.multiply(spectrum, kernel_ffts[start:stop], out=block)
         np.fft.ifft(block, axis=1, out=block)
         np.abs(block, out=coeffs[start:stop])
-    return TransformedWindow(window_index=window.window_index, coefficients=coeffs)
+    return TransformedWindow(window, coeffs)
 
 
 def cwt_direct(window: SignalWindow, plan: ScalePlan) -> TransformedWindow:
@@ -169,7 +169,7 @@ def cwt_direct(window: SignalWindow, plan: ScalePlan) -> TransformedWindow:
     for row, scale in enumerate(plan.scales):
         psi = morlet_kernel(scale, w, plan.omega0)
         coeffs[row] = np.abs(psi[idx] @ x)
-    return TransformedWindow(window_index=window.window_index, coefficients=coeffs)
+    return TransformedWindow(window, coeffs)
 
 
 __all__ = [

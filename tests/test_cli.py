@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import errno
 import importlib.machinery
@@ -6,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -809,6 +811,24 @@ def test_every_pipeline_flag_reaches_the_config(monkeypatch):
         }
 
 
+def _numeric_flags() -> list[tuple[str, str]]:
+    """(command, flag) for every int and float flag of every subcommand."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return [(name, a.option_strings[0]) for name, p in commands.items() for a in p._actions if a.type in (int, float)]
+
+
+@pytest.mark.parametrize("command, flag", _numeric_flags())
+def test_a_numeric_flag_takes_minus_inf_as_its_value(command, flag, tmp_path, monkeypatch, capsys):
+    # "-inf" after the flag is its value, not an unknown option: the command refuses the
+    # value, or the missing inputs after it, in one error line
+    monkeypatch.chdir(tmp_path)
+    with contextlib.suppress(SystemExit):
+        main([command, *{"synth": ["--out", "out"], **_IO_ARGS}[command], flag, "-inf"])
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error\[\d\]: [^\n]*\n", err), err
+    assert "expected one argument" not in err
+
+
 def test_readme_config_block_sets_every_option(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config file", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
@@ -957,8 +977,13 @@ def test_evaluate_flags_reach_config(synth_dir, tmp_path, capsys):
     assert "rolling_n" in capsys.readouterr().err
 
 
-def test_evaluate_refuses_a_bin_width_whose_bin_index_overflows(synth_dir, config_file, tmp_path, capsys):
-    # positive and finite, so the config takes it; any prediction above 2e-12 days divided by it overflows
+def test_evaluate_refuses_a_bin_width_whose_bin_index_overflows(synth_dir, config_file, tmp_path, capsys, monkeypatch):
+    # positive and finite, so the config takes it; any target above 2e-12 days divided by it
+    # overflows, so it is refused before the first fit
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fold was fitted")
+
+    monkeypatch.setattr("sproutcast.evaluate.fit_config", no_fit)
     out = tmp_path / "r.json"
     code = main(["evaluate", "--manifest", str(synth_dir / "manifest.json"), "--out", str(out),
                  "--config", str(config_file), "--bin-width", "1e-320"])
@@ -974,7 +999,7 @@ def test_predict_refuses_a_non_finite_observe_day(day, tmp_path, capsys):
     # neither the model nor the manifest exists: the day must be refused before either is read
     out = tmp_path / "p.json"
     code = main(["predict", "--model", str(tmp_path / "model.json"), "--manifest", str(tmp_path / "m.json"),
-                 f"--observe-day={day}", "--out", str(out)])
+                 "--observe-day", day, "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err == f"error[3]: --observe-day must be finite, got {day}\n"
     assert list(tmp_path.iterdir()) == []

@@ -227,19 +227,25 @@ def test_rejects_bad_series():
         extract_scale_features(np.array([1.0, np.nan, 2.0]))
 
 
+def transformed(coeffs, subject_id="s", window_index=1, day_offset=0):
+    """A hand-made transform of a window of zeros, as long as each coefficient row."""
+    window = SignalWindow(subject_id, window_index, day_offset, np.zeros(coeffs.shape[1]))
+    return TransformedWindow(window, coeffs)
+
+
 def test_vector_length_and_layout():
     plan = plan_scales(1.0, 256, k=8)
-    tw = TransformedWindow(window_index=1, coefficients=np.abs(np.random.default_rng(0).normal(size=(8, 256))))
-    fv = build_feature_vector(tw, plan, subject_id="a", day_offset=0)
+    tw = transformed(np.abs(np.random.default_rng(0).normal(size=(8, 256))), "a", 3, 2)
+    fv = build_feature_vector(tw, plan)
     assert fv.values.shape == (112,)
+    assert (fv.subject_id, fv.window_index, fv.day_offset) == ("a", 3, 2)
     assert layout_version(8) == "wavelet-morlet-k8-f14-v1"
     assert layout_version(8, time_domain=True) == "time-f14-v1"
 
 
 def test_zero_window_zeroes_every_block():
     plan = plan_scales(1.0, 128, k=3)
-    tw = TransformedWindow(window_index=1, coefficients=np.zeros((3, 128)))
-    fv = build_feature_vector(tw, plan)
+    fv = build_feature_vector(transformed(np.zeros((3, 128))), plan)
     assert np.array_equal(fv.values, np.zeros(3 * FEATURES_PER_SCALE))
 
 
@@ -248,8 +254,8 @@ def test_blocks_are_independent(rng):
     coeffs = np.abs(rng.normal(size=(4, 128)))
     other = coeffs.copy()
     other[2] = np.abs(rng.normal(size=128))
-    a = build_feature_vector(TransformedWindow(1, coeffs), plan).values
-    b = build_feature_vector(TransformedWindow(1, other), plan).values
+    a = build_feature_vector(transformed(coeffs), plan).values
+    b = build_feature_vector(transformed(other), plan).values
     block = slice(2 * FEATURES_PER_SCALE, 3 * FEATURES_PER_SCALE)
     assert not np.array_equal(a[block], b[block])
     mask = np.ones(len(a), bool)
@@ -282,9 +288,8 @@ def test_one_window_holds_the_kernel_spectra_one_transform_and_a_few_rows(rng):
 
 def test_scale_count_mismatch():
     plan = plan_scales(1.0, 128, k=4)
-    tw = TransformedWindow(window_index=1, coefficients=np.zeros((3, 128)))
     with pytest.raises(ValueError, match="scales"):
-        build_feature_vector(tw, plan)
+        build_feature_vector(transformed(np.zeros((3, 128))), plan)
 
 
 def test_percentile_chain_and_energy_fuzz(rng):
