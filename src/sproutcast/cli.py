@@ -26,7 +26,7 @@ from sproutcast import __version__, synth
 from sproutcast.config import SECTIONS, ConfigError, PipelineConfig, add_option, resolve_config
 from sproutcast.estimate import aggregate, window_estimates
 from sproutcast.evaluate import compute_metrics, loo_cv, report_from_dict, write_curves, write_report
-from sproutcast.features import build_dataset, extract_subject_features, layout_version
+from sproutcast.features import FEATURES_PER_SCALE, build_dataset, extract_subject_features, layout_version
 from sproutcast.ingest import (IngestError, atomic_output, day_offset_date, iter_recordings, load_manifest, read_json,
                                write_json, write_recording, write_signal_csv)
 from sproutcast.preprocess import condition
@@ -233,6 +233,9 @@ def cmd_predict(args: argparse.Namespace) -> _Result:
             f"{args.model}: model layout {model.feature_layout_version!r} does not match "
             f"current pipeline layout {expected_layout!r}"
         )
+    width = FEATURES_PER_SCALE * (1 if cfg.time_domain else cfg.scales)
+    if model.n_features != width:
+        raise ConfigError(f"{args.model}: model width {model.n_features} does not match layout width {width}")
     if isinstance(model, Ensemble) and cfg.uq_th is None:
         raise ConfigError(f"{args.model}: --uq-th is required when predicting with an ensemble model")
     manifest = load_manifest(args.manifest)

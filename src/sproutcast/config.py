@@ -22,64 +22,31 @@ class ConfigError(ValueError):
     """Raised for malformed config files or inconsistent option values."""
 
 
-def _at_least(least: int):
+def at_least(least: int):
     return lambda v: v >= least, f"at least {least}"
 
 
-_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
-_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
+# bounds, each a (test, what it asks for) pair that NaN fails
+POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
+NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
 _FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
 # a lag of up to ten years either side of sprouting
 _LAG = (lambda v: -3650 <= v <= 3650, "between -3650 and 3650 days")
+_NOTCH_CENTERS = (lambda v: all(0 < c < math.inf for c in v), "positive and finite")
 _STRATEGIES = ("single", "ensemble")
-
-# field -> (test, what it asks for) for every config dataclass (PipelineConfig,
-# RegressorSpec, SynthConfig); NaN fails every test
-_BOUNDS = {
-    "notch_hz": (lambda v: all(0 < c < math.inf for c in v), "positive and finite"),
-    "notch_q": _POSITIVE,
-    "lowpass_hz": _POSITIVE,
-    "lowpass_q": _POSITIVE,
-    "target_hz": _POSITIVE,
-    "window_seconds": _POSITIVE,
-    # plan_scales spaces the CWT frequencies over at least two scales
-    "scales": _at_least(2),
-    "omega0": _POSITIVE,
-    "entropy_bins": _at_least(1),
-    "n_trees": _at_least(1),
-    "max_depth": _at_least(1),
-    "learning_rate": _FRACTION,
-    "min_samples_leaf": _at_least(1),
-    "subsample": _FRACTION,
-    "strategy": (lambda v: v in _STRATEGIES, "'single' or 'ensemble'"),
-    "uq_th": (lambda v: v is None or 0 < v < math.inf, "positive and finite"),
-    # the ensemble's t-interval needs two members
-    "n_members": _at_least(2),
-    "tlag_min": _LAG,
-    "tlag_max": _LAG,
-    "calibration_bin_width": _POSITIVE,
-    "rolling_n": _at_least(1),
-    "jobs": _at_least(1),
-    "seed": _at_least(0),
-    # SynthConfig
-    "n_subjects": _at_least(1),
-    "days_min": _at_least(1),
-    "sample_rate_hz": _POSITIVE,
-    "signature_onset_days_before": _at_least(1),
-    "signature_gain": _NON_NEGATIVE,
-    "noise_std": _NON_NEGATIVE,
-    "drift_amplitude": _NON_NEGATIVE,
-}
+_STRATEGY = (lambda v: v in _STRATEGIES, "'single' or 'ensemble'")
+_POSITIVE_OR_NONE = (lambda v: v is None or 0 < v < math.inf, "positive and finite")
 
 
-def check_bounds(obj) -> None:
-    """Raise ConfigError for the first field of dataclass ``obj`` whose value is out of its bound."""
+def check_bounds(obj, declared_by=None) -> None:
+    """Raise ConfigError for the first field of dataclass ``obj`` whose value is out of its
+    option's bound; the options are ``declared_by``'s same-named fields if given, else ``obj``'s."""
+    options = {f.name: f for f in fields(declared_by or obj)}
     for f in fields(obj):
-        if f.name in _BOUNDS:
-            test, wanted = _BOUNDS[f.name]
-            value = getattr(obj, f.name)
-            if not test(value):
-                raise ConfigError(f"{f.name} must be {wanted}, got {value!r}")
+        bound = options[f.name].metadata["bound"]
+        value = getattr(obj, f.name)
+        if bound is not None and not bound[0](value):
+            raise ConfigError(f"{f.name} must be {bound[1]}, got {value!r}")
 
 
 def window_width(window_seconds: float, rate_hz: float, names=("window_seconds", "target_hz")) -> int:
@@ -97,40 +64,44 @@ def window_width(window_seconds: float, rate_hz: float, names=("window_seconds",
     return int(round(exact))
 
 
-def option(default, section: str, flag: str | None = None, **argparse_keywords):
-    """A config field set by ``flag`` (default ``--<name-with-dashes>``), with any
-    further add_argument keywords; a PipelineConfig field is read from INI ``[section]`` too."""
-    return field(default=default, metadata={"section": section, "flag": flag, "argparse": argparse_keywords})
+def option(default, section: str, flag: str | None = None, bound=None, **argparse_keywords):
+    """A config field set by ``flag`` (default ``--<name-with-dashes>``), with any further
+    add_argument keywords, and checked against ``bound`` by check_bounds; a PipelineConfig
+    field is read from INI ``[section]`` too."""
+    metadata = {"section": section, "flag": flag, "bound": bound, "argparse": argparse_keywords}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    notch_hz: tuple[float, ...] = option((50.0, 100.0), "preprocess", "--notch", action="append")
-    notch_q: float = option(30.0, "preprocess")
-    lowpass_hz: float = option(0.4, "preprocess", "--lowpass")
-    lowpass_q: float = option(0.707, "preprocess")
-    target_hz: float = option(1.0, "preprocess")
-    window_seconds: int = option(86400, "preprocess")
-    scales: int = option(8, "wavelet", help="number of CWT scales")
-    omega0: float = option(6.0, "wavelet")
-    entropy_bins: int = option(64, "features")
+    notch_hz: tuple[float, ...] = option((50.0, 100.0), "preprocess", "--notch", bound=_NOTCH_CENTERS, action="append")
+    notch_q: float = option(30.0, "preprocess", bound=POSITIVE)
+    lowpass_hz: float = option(0.4, "preprocess", "--lowpass", bound=POSITIVE)
+    lowpass_q: float = option(0.707, "preprocess", bound=POSITIVE)
+    target_hz: float = option(1.0, "preprocess", bound=POSITIVE)
+    window_seconds: int = option(86400, "preprocess", bound=POSITIVE)
+    # plan_scales spaces the CWT frequencies over at least two scales
+    scales: int = option(8, "wavelet", bound=at_least(2), help="number of CWT scales")
+    omega0: float = option(6.0, "wavelet", bound=POSITIVE)
+    entropy_bins: int = option(64, "features", bound=at_least(1))
     time_domain: bool = option(
         False, "features", action="store_const", const=True, help="extract features from raw windows, skipping the CWT"
     )
-    n_trees: int = option(300, "regress")
-    max_depth: int = option(4, "regress")
-    learning_rate: float = option(0.05, "regress")
-    min_samples_leaf: int = option(5, "regress")
-    subsample: float = option(0.8, "regress")
-    strategy: str = option("single", "train", choices=_STRATEGIES)
-    uq_th: float | None = option(None, "train", help="max allowed 95%% CI width (days)")
-    n_members: int = option(10, "train")
-    seed: int = option(0, "train")
-    tlag_min: int = option(-29, "evaluate")
-    tlag_max: int = option(0, "evaluate")
-    calibration_bin_width: float = option(5.0, "evaluate", "--bin-width")
-    rolling_n: int = option(7, "evaluate")
-    jobs: int = option(1, "evaluate", help="max parallel fold workers")
+    n_trees: int = option(300, "regress", bound=at_least(1))
+    max_depth: int = option(4, "regress", bound=at_least(1))
+    learning_rate: float = option(0.05, "regress", bound=_FRACTION)
+    min_samples_leaf: int = option(5, "regress", bound=at_least(1))
+    subsample: float = option(0.8, "regress", bound=_FRACTION)
+    strategy: str = option("single", "train", bound=_STRATEGY, choices=_STRATEGIES)
+    uq_th: float | None = option(None, "train", bound=_POSITIVE_OR_NONE, help="max allowed 95%% CI width (days)")
+    # the ensemble's t-interval needs two members
+    n_members: int = option(10, "train", bound=at_least(2))
+    seed: int = option(0, "train", bound=at_least(0))
+    tlag_min: int = option(-29, "evaluate", bound=_LAG)
+    tlag_max: int = option(0, "evaluate", bound=_LAG)
+    calibration_bin_width: float = option(5.0, "evaluate", "--bin-width", bound=POSITIVE)
+    rolling_n: int = option(7, "evaluate", bound=at_least(1))
+    jobs: int = option(1, "evaluate", bound=at_least(1), help="max parallel fold workers")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "notch_hz", tuple(self.notch_hz))  # --notch gives a list

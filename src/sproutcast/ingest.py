@@ -388,8 +388,8 @@ def _csv_tables() -> tuple:
     return pow10, p_hi, pow10 - p_hi, quads, last, head, point, masks, seps
 
 
-def _scaled17(a: np.ndarray, e: np.ndarray, pow10, p_hi, p_lo) -> tuple[np.ndarray, np.ndarray]:
-    """n = round(a * 10**(16 - e)), and whether that product is an exact rounding tie;
+def _scaled17(a: np.ndarray, e: np.ndarray, pow10, p_hi, p_lo) -> np.ndarray:
+    """n = round(a * 10**(16 - e)), an exact tie to even as %.17g rounds it;
     where e is one too large, n < 10**16 even if the product is below 2**53 and no integer."""
     p = 16 - e
     prod = a * pow10[p]
@@ -398,9 +398,8 @@ def _scaled17(a: np.ndarray, e: np.ndarray, pow10, p_hi, p_lo) -> tuple[np.ndarr
     a_lo = a - a_hi
     b_hi, b_lo = p_hi[p], p_lo[p]
     err = ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo  # prod + err is a * 10**p exactly
-    near = np.rint(err)
-    n = prod.astype(np.int64) + near.astype(np.int64)  # from 2**53 on, prod is an even integer
-    return n, np.abs(err - near) == 0.5
+    # from 2**53 on, prod is an even integer, so rint's half to even in err is half to even in n
+    return prod.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
 def _percent_rows(rows: np.ndarray) -> bytes:  # the formatter's fallback
@@ -409,7 +408,7 @@ def _percent_rows(rows: np.ndarray) -> bytes:  # the formatter's fallback
 
 def _format_rows(rows: np.ndarray) -> bytes:
     """``_percent_rows(rows)`` for float64 rows (n, 2); it writes with that each row holding a value
-    %.17g writes in exponent notation, one not finite, or one whose 17 digits round an exact tie."""
+    %.17g writes in exponent notation or one not finite."""
     pow10, p_hi, p_lo, quads, last, head, point, masks, seps = _csv_tables()
     v = rows.ravel()
     a = np.abs(v)
@@ -419,16 +418,16 @@ def _format_rows(rows: np.ndarray) -> bytes:
     e = np.where(fast, e, 0).astype(np.intp)
     fast |= a == 0
     a[~fast] = 0.0
-    n, tie = _scaled17(a, e, pow10, p_hi, p_lo)
+    n = _scaled17(a, e, pow10, p_hi, p_lo)
     # log10 may land one decade off: scale those values again, one decade over
     wrong = np.flatnonzero((a > 0) & ((n < 10**16) | (n >= 10**17)))
     if len(wrong):
         e[wrong] += np.where(n[wrong] >= 10**17, 1, -1)
         fast[wrong] &= (e[wrong] >= -5) & (e[wrong] <= 16)
         e[~fast] = 0
-        n[wrong], tie[wrong] = _scaled17(a[wrong], e[wrong], pow10, p_hi, p_lo)
+        n[wrong] = _scaled17(a[wrong], e[wrong], pow10, p_hi, p_lo)
         fast[wrong] &= (n[wrong] >= 10**16) & (n[wrong] < 10**17)
-    fast &= ~tie & (e >= -4)
+    fast &= e >= -4
     n[~fast] = e[~fast] = 0
     e += 4
     words = np.empty((11, len(v)), dtype=np.intp)

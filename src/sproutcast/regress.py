@@ -48,7 +48,7 @@ class RegressorSpec:
     seed: int = PipelineConfig.seed
 
     def __post_init__(self) -> None:
-        check_bounds(self)
+        check_bounds(self, declared_by=PipelineConfig)
 
 
 def _array(dtype):

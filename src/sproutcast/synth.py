@@ -16,7 +16,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from sproutcast.config import ConfigError, check_bounds, option, window_width
+from sproutcast.config import NON_NEGATIVE, POSITIVE, ConfigError, at_least, check_bounds, option, window_width
 from sproutcast.ingest import Recording
 from sproutcast.preprocess import SECONDS_PER_DAY
 
@@ -30,18 +30,20 @@ _BAND_EDGES = ("signature_band_low_hz", "signature_band_high_hz")
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_subjects: int = option(64, "synth", "--subjects")
-    days_min: int = option(40, "synth")
+    n_subjects: int = option(64, "synth", "--subjects", bound=at_least(1))
+    days_min: int = option(40, "synth", bound=at_least(1))
     days_max: int = option(80, "synth")
-    sample_rate_hz: float = option(1.0, "synth", "--rate", help="sample rate in Hz")
+    sample_rate_hz: float = option(1.0, "synth", "--rate", bound=POSITIVE, help="sample rate in Hz")
     signature_band_low_hz: float = option(0.01, "synth", "--band-low")
     signature_band_high_hz: float = option(0.05, "synth", "--band-high")
-    signature_onset_days_before: int = option(20, "synth", "--onset", help="signature onset, days before sprouting")
-    signature_gain: float = option(4.0, "synth", "--gain")
-    noise_std: float = option(0.3, "synth")
-    drift_amplitude: float = option(1.5, "synth", "--drift")
+    signature_onset_days_before: int = option(
+        20, "synth", "--onset", bound=at_least(1), help="signature onset, days before sprouting"
+    )
+    signature_gain: float = option(4.0, "synth", "--gain", bound=NON_NEGATIVE)
+    noise_std: float = option(0.3, "synth", bound=NON_NEGATIVE)
+    drift_amplitude: float = option(1.5, "synth", "--drift", bound=NON_NEGATIVE)
     storage_temp_c: int = option(8, "synth", "--temp", help="storage temperature to record (C)")
-    seed: int = option(7, "synth")
+    seed: int = option(7, "synth", bound=at_least(0))
     label: str = option("", "synth", help="dataset label (default: synthetic-seed<seed>)")
     # both edges as one (low, high) pair, in place of the two fields; perfbench's checks build the config so
     signature_band_hz: InitVar[tuple[float, float] | None] = None

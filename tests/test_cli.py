@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -20,9 +21,10 @@ import pytest
 from sproutcast import cli, features, ingest
 from sproutcast.cli import build_parser, main
 from sproutcast.config import ConfigError, PipelineConfig, load_config_file, resolve_config
-from sproutcast.features import build_dataset
+from sproutcast.features import FEATURES_PER_SCALE, build_dataset
 from sproutcast.ingest import write_signal_csv
 from sproutcast.preprocess import condition, segment
+from sproutcast.regress import RegressorSpec
 from sproutcast.synth import SynthConfig
 from sproutcast.wavelet import cwt, plan_scales
 
@@ -346,7 +348,13 @@ def test_predict_rejects_layout_mismatch(synth_dir, config_file, tmp_path, capsy
     unreadable.write_text(json.dumps(_first_subject(manifest, signal_path="missing.csv")))
     empty_layout = tmp_path / "empty-layout.json"
     empty_layout.write_text(json.dumps({**json.loads(model_path.read_text()), "feature_layout": ""}))
-    for model, flags in ((model_path, ["--scales", "6"]), (empty_layout, ["--time-domain"])):
+    # the layout is right but the width is one scale's worth too wide, so every tree still loads
+    wrong_width = tmp_path / "wrong-width.json"
+    trained = json.loads(model_path.read_text())
+    wrong_width.write_text(json.dumps({**trained, "n_features": trained["n_features"] + FEATURES_PER_SCALE}))
+    cases = ((model_path, ["--scales", "6"], "model layout "), (empty_layout, ["--time-domain"], "model layout "),
+             (wrong_width, [], f"model width {trained['n_features'] + FEATURES_PER_SCALE} does not match "))
+    for model, flags, message in cases:
         capsys.readouterr()
         code = main(
             ["predict", "--model", str(model), "--manifest", str(unreadable), "--config", str(config_file), *flags]
@@ -354,7 +362,7 @@ def test_predict_rejects_layout_mismatch(synth_dir, config_file, tmp_path, capsy
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith(f"error[3]: {model}: model layout ")
+        assert err.startswith(f"error[3]: {model}: {message}")
 
 
 def test_preprocess_writes_conditioned_files(tmp_path):
@@ -836,6 +844,21 @@ def test_readme_config_block_sets_every_option(tmp_path):
     path.write_text(block, encoding="utf-8")
     assert set(load_config_file(path)) == {f.name for f in dataclasses.fields(PipelineConfig)}
     resolve_config(path)  # every value in it is accepted too
+
+
+def test_readme_quickstart_runs_as_written(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```bash\n") if b.startswith("# 1. generate")).split("```", 1)[0]
+    block = block.replace("\\\n", " ")
+    commands = [line for line in block.splitlines() if line and not line.startswith("#")]
+    assert commands[0].startswith("sproutcast synth ") and commands[1].startswith("echo -e ")
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        if command.startswith("echo -e "):
+            text, target = re.fullmatch(r'echo -e "(.*)" > (\S+)', command).groups()
+            Path(target).write_text(text.replace("\\n", "\n") + "\n", encoding="utf-8")
+        else:
+            assert main(shlex.split(command)[1:]) == 0, command
 
 
 def test_synth_flags_reach_synth_config_and_keep_its_defaults():
@@ -1480,6 +1503,21 @@ def test_peak_memory_does_not_grow_with_the_subject_count(tmp_path):
         peaks[n] = _peak_rss_mib(argv, tmp_path / f"first{n}.log")
     one_subject = days * 86400 * 8 / 2**20
     assert abs(peaks[6] - peaks[2]) < one_subject, peaks
+
+
+def test_every_numeric_option_declares_its_bound():
+    def unbounded(cls):
+        numeric = ("int", "float", "float | None", "tuple[float, ...]")
+        return {f.name for f in dataclasses.fields(cls) if f.type in numeric and f.metadata["bound"] is None}
+
+    assert unbounded(PipelineConfig) == set()
+    # days_max is bounded by days_min, the band edges by each other and the rate, in __post_init__
+    assert unbounded(SynthConfig) == {"days_max", "signature_band_low_hz", "signature_band_high_hz", "storage_temp_c"}
+    # RegressorSpec's fields are PipelineConfig's options, whose bounds check them
+    for name in (f.name for f in dataclasses.fields(RegressorSpec)):
+        assert PipelineConfig.__dataclass_fields__[name].metadata["bound"] is not None
+    with pytest.raises(ConfigError, match=r"^subsample must be in \(0, 1\], got 0\.0$"):
+        RegressorSpec(subsample=0.0)
 
 
 def test_resolve_config_refuses_an_unknown_option():

@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import tracemalloc
 from datetime import date
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -268,6 +270,27 @@ def test_signal_csv_body_equals_the_percent_expression(tmp_path_factory, samples
     header, body = path.read_bytes().split(b"\n", 1)
     assert header.decode() == CSV_HEADER
     assert body == _percent_body(samples, rate)
+
+
+def _exact_ties(count, seed):
+    """Values q * 2**-j whose exact decimal has 18 significant digits, the last a 5, so that
+    rounding to 17 digits is an exact tie; both signs, 1e-4 <= |x| < 2**51 (no float above has one)."""
+    rng = random.Random(seed)
+    ties = []
+    while len(ties) < count:
+        j = rng.randrange(2, 26)  # q * 5**j has 18 digits, with q odd and below 2**53
+        q = rng.randrange(-(-(10**17) // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)) | 1
+        if 10**17 <= q * 5**j < 10**18 and q / 2**j >= 1e-4:
+            ties.append(rng.choice((1, -1)) * q / 2**j)
+    return np.array(ties)
+
+
+def test_exact_ties_are_written_as_the_percent_expression_writes_them():
+    ties = _exact_ties(20000, seed=3)
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    assert ingest._format_rows(ties.reshape(-1, 2)) == ingest._percent_rows(ties.reshape(-1, 2))
 
 
 def test_writer_memory_is_one_chunk_of_rows(tmp_path):

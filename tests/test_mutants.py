@@ -46,8 +46,8 @@ def test_each_mutant_fails_its_tests_and_the_unmutated_copy_passes(tmp_path):
         finally:
             path.write_text(original)
         # exit code 1: tests ran and some failed; an error in collection or usage kills nothing
-        failed = re.findall(r"^FAILED ([^\s\[]+)", run.stdout, re.M) if run.returncode == 1 else []
-        missed = [test for test in mutant.kills if not any(f == test or f.startswith(test + "::") for f in failed)]
+        failed = re.findall(r"^FAILED (\S+)", run.stdout, re.M) if run.returncode == 1 else []
+        missed = [test for test in mutant.kills if not any(f == test or f.startswith((test + "::", test + "[")) for f in failed)]
         if missed:
             survived[name] = (missed, run.stdout[-1000:])
     assert not survived, survived
